@@ -1,7 +1,8 @@
 """Experiment runner.
 
-Executes a strategy x seed grid over a generated stream: per cell it trains
-the learner across all experiences, evaluates after each one, and writes a
+Executes a strategy x seed grid over generated streams, one per run seed
+and shared by every strategy of that seed: per cell it trains the learner
+across all experiences, evaluates after each one, and writes a
 metrics CSV, a buffer trace, the stream manifest and parameter checkpoints.
 Metric rows are appended as they are produced (crash-safe), every output
 carries the config digest, and runs are resumable at experience granularity
@@ -11,11 +12,12 @@ Per-component RNG streams are derived from (run seed, component name), so
 the stream a strategy sees never depends on the strategy itself.
 """
 
+import functools
 import json
 import statistics
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .config import ConfigError, ExperimentConfig
 from .sampling_generator import build_occurrence_matrix, realize_stream
 from .seeding import derive_rng
 from .slot_generator import generate_slot_stream
-from .stream import LabeledDataset, load_dataset_csv, make_synthetic_dataset
+from .stream import LabeledDataset, Stream, load_dataset_csv, make_synthetic_dataset
 from .stream import verify_scenario_properties
 
 EXIT_OK = 0
@@ -68,16 +70,20 @@ def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int):
     """Returns (stream, occurrence matrix or None) for one run seed."""
     rng = derive_rng(seed, "stream")
     if cfg.generator.kind == "slot":
-        slot_cfg = cfg.generator.slot_config(seed)
-        slot_cfg.validate(dataset)
         # the generator owns its rng; scope the seed so other components
         # never share it
-        scoped = type(slot_cfg)(slot_cfg.n_experiences, slot_cfg.slots_per_experience,
-                                int(rng.integers(2**63)))
-        return generate_slot_stream(dataset, scoped), None
+        slot_cfg = replace(
+            cfg.generator.slot_config(seed), seed=int(rng.integers(2**63))
+        )
+        return generate_slot_stream(dataset, slot_cfg), None
     samp_cfg = cfg.generator.sampling_config(dataset.num_classes, seed)
     occurrence = build_occurrence_matrix(samp_cfg, rng)
     return realize_stream(dataset, occurrence, samp_cfg, rng), occurrence
+
+
+def _stream_per_seed(cfg: ExperimentConfig, dataset: LabeledDataset):
+    """seed -> that run seed's stream, built on first use and then shared."""
+    return functools.cache(lambda seed: build_stream(cfg, dataset, seed)[0])
 
 
 def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None:
@@ -204,20 +210,21 @@ def run_cell(
     cfg: ExperimentConfig,
     train_set: LabeledDataset,
     test_set: LabeledDataset,
+    stream: Stream,
     strategy: str,
     seed: int,
     paths: CellPaths,
     resume: bool = False,
     stop_after: int | None = None,
 ) -> list[metrics.RunRecord]:
-    """Train one (strategy, seed) cell over the full stream.
+    """Train one (strategy, seed) cell over ``stream``, the seed's stream
+    from ``build_stream``.
 
     ``stop_after`` ends the cell early after the given experience index
     (used to exercise crash/resume behavior).
     """
     digest = cfg.digest()
     policy = cfg.resolve_policy(strategy)
-    stream, _ = build_stream(cfg, train_set, seed)
     n_experiences = len(stream)
     infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
 
@@ -258,8 +265,7 @@ def run_cell(
             cfg.model.activation,
             derive_rng(seed, "learner-init"),
         )
-        stream.save_manifest(paths.manifest)
-        _stamp_json(paths.manifest, digest)
+        stream.save_manifest(paths.manifest, config_digest=digest)
         learner.save_checkpoint(
             learner.snapshot(params, -1, config_digest=digest), paths.checkpoint_file(-1)
         )
@@ -347,12 +353,6 @@ def _append(path: Path, text: str) -> None:
         f.flush()
 
 
-def _stamp_json(path: Path, digest: str) -> None:
-    data = json.loads(path.read_text())
-    data["config_digest"] = digest
-    path.write_text(json.dumps(data, indent=1) + "\n")
-
-
 # -- grid run -------------------------------------------------------------------
 
 
@@ -373,12 +373,13 @@ def run(
     )
 
     try:
+        stream_for = _stream_per_seed(cfg, train_set)
         final_by_strategy: dict[str, list[metrics.RunRecord]] = {}
         for strategy in cfg.strategies:
             for seed in cfg.seeds:
                 paths = cell_dir(out, strategy, seed)
                 records = run_cell(
-                    cfg, train_set, test_set, strategy, seed, paths,
+                    cfg, train_set, test_set, stream_for(seed), strategy, seed, paths,
                     resume=resume, stop_after=stop_after,
                 )
                 final = records[-1] if records else _final_record_from_csv(paths, strategy, seed)
@@ -546,6 +547,7 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     probe_rng = np.random.default_rng(spec.cka_probe_seed)
     probe_size = min(spec.cka_probe_size, len(test_set))
     probe = test_set.features[probe_rng.choice(len(test_set), size=probe_size, replace=False)]
+    stream_for = _stream_per_seed(cfg, train_set)
 
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
@@ -559,12 +561,11 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
             if not ckpts:
                 continue
             paths.analysis_dir.mkdir(exist_ok=True)
-            stream, _ = build_stream(cfg, train_set, seed)
             trained = [ck for ck in ckpts if ck.experience_index >= 0]
             init = next((ck for ck in ckpts if ck.experience_index < 0), None)
 
             if do_interp and len(trained) >= 2:
-                _write_interpolation(paths, trained, stream, train_set, spec, digest)
+                _write_interpolation(paths, trained, stream_for(seed), train_set, spec, digest)
             if do_blocks and init is not None:
                 _write_block_distance(paths, init, trained, digest)
             if do_cka and len(trained) >= 2:

@@ -51,10 +51,11 @@ class RunRecord:
 
 
 def _macro(per_class: np.ndarray, class_set) -> float | None:
-    ids = [c for c in class_set if not np.isnan(per_class[c])]
-    if not ids:
+    values = per_class[np.asarray(class_set, dtype=np.intp)]
+    values = values[~np.isnan(values)]
+    if not values.size:
         return None
-    return float(np.mean(per_class[ids]))
+    return float(np.mean(values))
 
 
 def evaluate(
@@ -71,15 +72,14 @@ def evaluate(
     labels, _ = predict(params, test_set.features)
     correct = labels == test_set.labels
 
+    # hits / totals per class: both are exact integer counts, so each entry
+    # equals the mean of the class's boolean hit mask bit for bit
     c = test_set.num_classes
+    totals = np.bincount(test_set.labels, minlength=c)
+    hits = np.bincount(test_set.labels[correct], minlength=c)
     per_class = np.full(c, np.nan)
-    excluded = []
-    for cls in range(c):
-        mask = test_set.labels == cls
-        if mask.any():
-            per_class[cls] = float(correct[mask].mean())
-        else:
-            excluded.append(cls)
+    np.divide(hits, totals, out=per_class, where=totals > 0)
+    excluded = np.flatnonzero(totals == 0).tolist()
 
     record = RunRecord(
         experience_index=experience_index,

@@ -3,7 +3,8 @@
 Builds streams of N experiences, each made of K single-class slots, such
 that every dataset instance appears exactly once in the stream. K controls
 the amount of concept repetition: K = C/N gives a class-incremental stream,
-K = C a domain-incremental one, anything in between is CIR.
+K = C a domain-incremental one, anything in between is CIR. N*K < C is
+rejected, since some class would get no slot.
 
 Each class contributes floor(N*K/C) or ceil(N*K/C) chunks (exact counts when
 C divides N*K evenly); a class's pool is split across its chunks with any
@@ -41,6 +42,11 @@ class SlotConfig:
                 f"slots_per_experience must be <= num_classes "
                 f"(at most one slot per class per experience): K={k} > C={c}"
             )
+        if n * k < c:
+            raise InfeasibleSlotConfig(
+                f"n_experiences * slots_per_experience must be >= num_classes "
+                f"(every class needs at least one slot): N*K={n * k} < C={c}"
+            )
         max_chunks = -(-n * k // c)  # ceil
         for cls, idx in dataset.per_class_index.items():
             if len(idx) < max_chunks:
@@ -66,9 +72,10 @@ class SlotConfig:
 def _class_chunks(dataset, chunk_counts, rng):
     """Partition each class pool into its chunk count; returns a flat list
     of (class_id, chunk_id, index array) covering every instance once."""
+    pools = dataset.per_class_index
     chunks = []
     for c in range(dataset.num_classes):
-        pool = dataset.per_class_index[c].copy()
+        pool = pools[c].copy()
         rng.shuffle(pool)
         k = chunk_counts[c]
         base, rem = divmod(len(pool), k)

@@ -46,11 +46,19 @@ class LabeledDataset:
 
     @property
     def per_class_index(self) -> dict[int, np.ndarray]:
-        """Map class id -> array of instance indices, covering all classes."""
-        out = {}
-        for c in range(self.num_classes):
-            out[c] = np.flatnonzero(self.labels == c)
-        return out
+        """Map class id -> ascending array of instance indices, covering all
+        classes. Computed on first access and cached; the arrays are
+        read-only, so callers copy before shuffling."""
+        cached = self.__dict__.get("_per_class_index")
+        if cached is None:
+            # a stable sort keeps each class's indices ascending
+            order = np.argsort(self.labels, kind="stable")
+            order.flags.writeable = False
+            counts = np.bincount(self.labels, minlength=self.num_classes)
+            pools = np.split(order, np.cumsum(counts)[:-1])
+            cached = dict(zip(range(self.num_classes), pools))
+            object.__setattr__(self, "_per_class_index", cached)
+        return cached
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -180,9 +188,14 @@ class Stream:
             notes=tuple(manifest.get("notes", ())),
         )
 
-    def save_manifest(self, path) -> None:
+    def save_manifest(self, path, config_digest: str | None = None) -> None:
+        """Write the manifest as JSON; ``config_digest``, when given, is
+        stored as its last key."""
+        manifest = self.to_manifest()
+        if config_digest is not None:
+            manifest["config_digest"] = config_digest
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_manifest(), f, indent=1)
+            json.dump(manifest, f, indent=1)
             f.write("\n")
 
     @classmethod

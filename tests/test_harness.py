@@ -2,7 +2,7 @@ import json
 import numpy as np
 import pytest
 
-from cirsim import cli, harness
+from cirsim import cli, harness, learner
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
 from cirsim.metrics import parse_csv
 
@@ -94,6 +94,45 @@ def test_infeasible_slot_config_fails_before_training(tmp_path):
     with pytest.raises(ConfigError, match="slots_per_experience"):
         harness.run(cfg)
     assert not (out / "summary.json").exists()
+
+
+def _count_stream_builds(monkeypatch) -> list[int]:
+    """Patch ``harness.build_stream`` to record the seed of every call."""
+    seeds = []
+    original = harness.build_stream
+
+    def counting(cfg, dataset, seed):
+        seeds.append(seed)
+        return original(cfg, dataset, seed)
+
+    monkeypatch.setattr(harness, "build_stream", counting)
+    return seeds
+
+
+def test_run_builds_each_seed_stream_once(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(out, seeds=[0, 1]))
+    seeds = _count_stream_builds(monkeypatch)
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert sorted(seeds) == [0, 1]  # 2 strategies x 2 seeds, one stream per seed
+    for seed in (0, 1):
+        a = (out / "naive" / f"seed{seed}" / "stream_manifest.json").read_bytes()
+        b = (out / "er-rs" / f"seed{seed}" / "stream_manifest.json").read_bytes()
+        assert a == b
+        assert json.loads(a)["config_digest"] == cfg.digest()
+
+
+def test_analyze_builds_streams_only_for_interpolation(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    raw = small_config(out, seeds=[0, 1], checkpoint_every=3,
+                       analysis={"block_distance": {"enabled": True},
+                                 "cka": {"enabled": True, "probe_size": 16}})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    seeds = _count_stream_builds(monkeypatch)
+    assert harness.analyze(out) == harness.EXIT_OK
+    assert seeds == []
+    assert harness.analyze(out, force_all=True) == harness.EXIT_OK
+    assert sorted(seeds) == [0, 1]  # interpolation: once per seed, not per cell
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -235,6 +274,18 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "slots_per_experience" in err
+
+    def test_slot_config_without_a_slot_per_class_exit_2(self, tmp_path, capsys, monkeypatch):
+        raw = small_config(tmp_path / "out", generator={"kind": "slot", "n": 2, "k": 2})
+        path = write_config(tmp_path, raw)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(learner, "train_on_experience", no_training)
+        assert cli.main(["run", str(path)]) == 2
+        assert "N*K=4 < C=5" in capsys.readouterr().err
+        assert not list((tmp_path / "out").rglob("metrics.csv"))
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2

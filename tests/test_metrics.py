@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cirsim.learner import ModelParams
+from cirsim.learner import ModelParams, init_params, predict
 from cirsim.metrics import EvalContext, csv_header, evaluate, parse_csv, to_csv_row
 from cirsim.stream import LabeledDataset
 
@@ -90,6 +92,32 @@ def test_class_without_test_items_excluded_and_flagged():
     assert r.excluded_classes == (2,)
     assert np.isnan(r.per_class_acc[2])
     assert r.ta == 1.0  # macro over classes with test items
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_classes=st.integers(2, 12))
+@settings(max_examples=50, deadline=None)
+def test_per_class_accuracy_matches_per_mask_loop_bitwise(seed, num_classes):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, size=int(rng.integers(0, 40)))
+    test_set = LabeledDataset(rng.normal(size=(labels.size, 3)), labels, num_classes)
+    params = init_params(3, (4,), num_classes, "relu", rng)
+    seen = frozenset(int(c) for c in rng.choice(num_classes, size=2, replace=False))
+    r = evaluate(params, test_set, EvalContext(seen, frozenset(sorted(seen)[:1])))
+
+    # reference: one boolean mask per class
+    correct = predict(params, test_set.features)[0] == test_set.labels
+    per_class = np.full(num_classes, np.nan)
+    excluded = []
+    for c in range(num_classes):
+        mask = test_set.labels == c
+        if mask.any():
+            per_class[c] = float(correct[mask].mean())
+        else:
+            excluded.append(c)
+    assert r.per_class_acc.tobytes() == per_class.tobytes()
+    assert r.excluded_classes == tuple(excluded)
+    scored = [per_class[c] for c in range(num_classes) if not np.isnan(per_class[c])]
+    assert r.ta == (float(np.mean(scored)) if scored else None)
 
 
 def test_infrequent_and_frequent_splits():

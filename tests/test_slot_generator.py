@@ -117,3 +117,12 @@ def test_uneven_class_pools_keep_exactly_once():
     stream = generate_slot_stream(dataset, SlotConfig(2, 4, seed=0))
     combined = np.sort(np.concatenate([e.train_instances for e in stream]))
     assert np.array_equal(combined, np.arange(len(dataset)))
+
+
+def test_too_few_slots_for_every_class_rejected():
+    train, _ = make_synthetic_dataset(20, 10, 4, 0.2, np.random.default_rng(0))
+    cfg = SlotConfig(5, 2, seed=0)  # N*K = 10 slots for C = 20 classes
+    with pytest.raises(InfeasibleSlotConfig, match=r"N\*K=10 < C=20"):
+        cfg.validate(train)
+    with pytest.raises(InfeasibleSlotConfig, match=r"N\*K=10 < C=20"):
+        generate_slot_stream(train, cfg)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirsim.learner import TrainConfig, accuracy, init_params, train_on_experience
 from cirsim.slot_generator import SlotConfig, generate_slot_stream
@@ -64,6 +68,27 @@ def test_per_class_index_partitions_dataset():
     assert np.array_equal(combined, np.arange(len(train)))
     for c, idx in index.items():
         assert np.all(train.labels[idx] == c)
+
+
+@given(
+    case=st.integers(1, 8).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.integers(0, c - 1), max_size=60))
+    )
+)
+@settings(max_examples=100)
+def test_per_class_index_is_cached_read_only_flatnonzero(case):
+    num_classes, labels = case  # classes absent from ``labels`` get empty pools
+    dataset = LabeledDataset(np.zeros((len(labels), 2)), np.array(labels), num_classes)
+    index = dataset.per_class_index
+    assert list(index) == list(range(num_classes))
+    for c in range(num_classes):
+        expected = np.flatnonzero(dataset.labels == c)
+        assert index[c].dtype == expected.dtype
+        assert np.array_equal(index[c], expected)
+    assert dataset.per_class_index is index
+    for pool in index.values():
+        with pytest.raises(ValueError):
+            pool[...] = 0
 
 
 def test_labels_must_be_in_range():
@@ -148,6 +173,19 @@ def test_manifest_file_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     stream.save_manifest(path)
     restored = Stream.load_manifest(path)
+    assert restored.to_manifest() == stream.to_manifest()
+
+
+def test_manifest_digest_written_as_last_key(tmp_path):
+    train, _ = make_synthetic_dataset(6, 10, 4, 0.2, np.random.default_rng(0))
+    stream = generate_slot_stream(train, SlotConfig(3, 2, seed=1))
+    stream.save_manifest(tmp_path / "plain.json")
+    # reference: the plain manifest, reloaded, stamped and dumped again
+    stamped = json.loads((tmp_path / "plain.json").read_text())
+    stamped["config_digest"] = "abc"
+    stream.save_manifest(tmp_path / "stamped.json", config_digest="abc")
+    assert (tmp_path / "stamped.json").read_text() == json.dumps(stamped, indent=1) + "\n"
+    restored = Stream.load_manifest(tmp_path / "stamped.json")
     assert restored.to_manifest() == stream.to_manifest()
 
 
