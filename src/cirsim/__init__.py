@@ -14,9 +14,6 @@ from .buffers import (
     buffer_composition,
     class_balanced_quotas,
     frequency_aware_quotas,
-    update_cb,
-    update_fa,
-    update_rs,
 )
 from .distributions import PmfSpec, materialize_pmf, sample_index
 from .learner import (

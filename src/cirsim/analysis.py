@@ -19,17 +19,11 @@ class InterpolationCurve:
     accuracies: np.ndarray
     endpoint_indices: tuple[int, int]  # (checkpoint a, checkpoint b)
 
-    def min_accuracy(self) -> float:
-        return float(self.accuracies.min())
-
 
 @dataclass(frozen=True)
 class BlockDistanceReport:
     block_names: tuple[str, ...]
     distances: tuple[float | None, ...]  # None where the reference block has zero norm
-
-    def as_dict(self) -> dict[str, float | None]:
-        return dict(zip(self.block_names, self.distances))
 
 
 def _combine(a: ModelParams, b: ModelParams, alpha: float) -> ModelParams:

@@ -62,68 +62,122 @@ class BufferComposition:
     empty: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplayBuffer:
-    """Bounded sample store plus per-class observation counts."""
+    """Bounded sample store plus per-class observation counts.
+
+    What it stores is two parallel read-only int64 arrays, ``instances`` and
+    ``labels``: in reservoir slot order for ``rs``, grouped by ``seen_order``
+    (insertion order within a class) for ``cb``/``fa``. Every update replaces
+    both arrays.
+    """
 
     max_size: int
     policy: str
-    store: dict[int, list[int]] = field(default_factory=dict)
     seen_order: list[int] = field(default_factory=list)
     observations: dict[int, int] = field(default_factory=dict)
     rs_seen_count: int = 0
-    _rs_items: list[tuple[int, int]] = field(default_factory=list)  # (instance, class)
-    _cb_class_seen: dict[int, int] = field(default_factory=dict)
+    instances: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    _cb_class_seen: dict[int, int] = field(default_factory=dict)  # items streamed per class
+    _quotas: dict[int, int] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown buffer policy {self.policy!r}")
         if self.max_size < 1:
             raise ValueError("buffer max_size must be >= 1")
+        empty = np.empty(0, dtype=np.int64)
+        self._set_store(empty, empty)
+        self._quotas = self._compute_quotas()
 
     # -- views -------------------------------------------------------------
 
     def counts(self) -> dict[int, int]:
-        if self.policy == "rs":
-            out: dict[int, int] = {}
-            for _, c in self._rs_items:
-                out[c] = out.get(c, 0) + 1
-            return out
-        return {c: len(items) for c, items in self.store.items() if items}
+        classes, sizes = np.unique(self.labels, return_counts=True)
+        return dict(zip(classes.tolist(), sizes.tolist()))
 
     def total_stored(self) -> int:
-        return sum(self.counts().values())
+        return int(self.labels.size)
 
     def stored_instances_and_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.policy == "rs":
-            pairs = self._rs_items
-            inst = np.array([p[0] for p in pairs], dtype=np.int64)
-            labs = np.array([p[1] for p in pairs], dtype=np.int64)
-            return inst, labs
-        inst, labs = [], []
-        for c in self.seen_order:
-            items = self.store.get(c, [])
-            inst.extend(items)
-            labs.extend([c] * len(items))
-        return np.asarray(inst, dtype=np.int64), np.asarray(labs, dtype=np.int64)
+        return self.instances, self.labels
 
     def quotas(self) -> dict[int, int] | None:
-        """Current per-class slot targets; None for the reservoir policy."""
+        """Per-class slot targets as of the last update; None for the
+        reservoir policy."""
+        return self._quotas
+
+    def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform draw (with replacement) of k stored items."""
+        if self.instances.size == 0:
+            raise ValueError("cannot sample from an empty buffer")
+        pick = rng.integers(self.instances.size, size=k)
+        return self.instances[pick], self.labels[pick]
+
+    # -- resume state --------------------------------------------------------
+
+    def to_state(self) -> dict:
+        """JSON-ready state from which ``from_state`` rebuilds this buffer."""
+        if self.policy == "rs":
+            store, rs_items = {}, np.column_stack([self.instances, self.labels]).tolist()
+        else:
+            store = {str(c): items for c, items in self._split_by_class().items()}
+            rs_items = []
+        return {
+            "policy": self.policy,
+            "max_size": self.max_size,
+            "store": store,
+            "seen_order": list(self.seen_order),
+            "observations": {str(c): n for c, n in self.observations.items()},
+            "rs_seen_count": self.rs_seen_count,
+            "rs_items": rs_items,
+            "cb_class_seen": {str(c): n for c, n in self._cb_class_seen.items()},
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ReplayBuffer":
+        buf = cls(max_size=state["max_size"], policy=state["policy"])
+        buf.seen_order = list(state["seen_order"])
+        buf.observations = {int(c): n for c, n in state["observations"].items()}
+        buf.rs_seen_count = state["rs_seen_count"]
+        buf._cb_class_seen = {int(c): n for c, n in state["cb_class_seen"].items()}
+        if buf.policy == "rs":
+            pairs = np.array(state["rs_items"], dtype=np.int64).reshape(-1, 2)
+            buf._set_store(pairs[:, 0], pairs[:, 1])
+        else:
+            buf._set_grouped({int(c): items for c, items in state["store"].items()})
+        buf._quotas = buf._compute_quotas()
+        return buf
+
+    # -- updates -----------------------------------------------------------
+
+    def _set_store(self, instances: np.ndarray, labels: np.ndarray) -> None:
+        instances.flags.writeable = False
+        labels.flags.writeable = False
+        self.instances, self.labels = instances, labels
+
+    def _split_by_class(self) -> dict[int, list[int]]:
+        """Stored instances of every seen class (cb/fa), in insertion order."""
+        per_class = self.counts()
+        stored, out, end = self.instances.tolist(), {}, 0
+        for c in self.seen_order:
+            start, end = end, end + per_class.get(c, 0)
+            out[c] = stored[start:end]
+        return out
+
+    def _set_grouped(self, per_class: dict[int, list[int]]) -> None:
+        order = self.seen_order
+        instances = [i for c in order for i in per_class[c]]
+        labels = np.repeat(np.array(order, dtype=np.int64), [len(per_class[c]) for c in order])
+        self._set_store(np.array(instances, dtype=np.int64), labels)
+
+    def _compute_quotas(self) -> dict[int, int] | None:
         if self.policy == "cb":
             return class_balanced_quotas(self.seen_order, self.max_size)
         if self.policy == "fa":
             return frequency_aware_quotas(self.observations, self.max_size)
         return None
-
-    def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform draw (with replacement) of k stored items."""
-        inst, labs = self.stored_instances_and_labels()
-        if inst.size == 0:
-            raise ValueError("cannot sample from an empty buffer")
-        pick = rng.integers(inst.size, size=k)
-        return inst[pick], labs[pick]
-
-    # -- updates -----------------------------------------------------------
 
     def _observe(self, labels: np.ndarray) -> list[int]:
         present = sorted(int(c) for c in np.unique(labels))
@@ -143,6 +197,7 @@ class ReplayBuffer:
         if instances.size == 0:
             return
         present = self._observe(labels)
+        self._quotas = self._compute_quotas()
         if self.policy == "rs":
             self._update_rs(instances, labels, rng)
         elif self.policy == "cb":
@@ -153,32 +208,34 @@ class ReplayBuffer:
 
     def _update_rs(self, instances, labels, rng) -> None:
         m = self.max_size
-        t = self.rs_seen_count
-        j = 0
-        while j < instances.size and len(self._rs_items) < m:
-            self._rs_items.append((int(instances[j]), int(labels[j])))
-            t += 1
-            j += 1
-        if j < instances.size:
+        fill = min(m - self.instances.size, instances.size)
+        inst = np.concatenate([self.instances, instances[:fill]])
+        labs = np.concatenate([self.labels, labels[:fill]])
+        t = self.rs_seen_count + fill
+        if fill < instances.size:
             # item at stream position t (1-based) claims slot rng[0,t);
-            # slots < m both accept (prob m/t) and name the victim
-            positions = t + 1 + np.arange(instances.size - j)
+            # slots < m both accept (prob m/t) and name the victim. One
+            # offset at a time: a slot claimed twice keeps the later item.
+            positions = t + 1 + np.arange(instances.size - fill)
             slots = rng.integers(0, positions)
             for off in np.flatnonzero(slots < m):
-                self._rs_items[slots[off]] = (int(instances[j + off]), int(labels[j + off]))
+                inst[slots[off]] = instances[fill + off]
+                labs[slots[off]] = labels[fill + off]
             t = int(positions[-1])
         self.rs_seen_count = t
+        self._set_store(inst, labs)
 
     def _update_cb(self, instances, labels, present, rng) -> None:
-        quotas = class_balanced_quotas(self.seen_order, self.max_size)
+        quotas = self._quotas
+        store = self._split_by_class()
         for c in self.seen_order:
-            items = self.store.get(c, [])
+            items = store[c]
             if len(items) > quotas[c]:
                 keep = rng.choice(len(items), size=quotas[c], replace=False)
-                self.store[c] = [items[i] for i in sorted(keep)]
+                store[c] = [items[i] for i in sorted(keep)]
         for c in present:
             cap = quotas[c]
-            items = self.store.setdefault(c, [])
+            items = store[c]
             seen = self._cb_class_seen.get(c, 0)
             for inst in instances[labels == c]:
                 seen += 1
@@ -189,14 +246,15 @@ class ReplayBuffer:
                     if slot < cap:
                         items[slot] = int(inst)
             self._cb_class_seen[c] = seen
+        self._set_grouped(store)
 
     def _update_fa(self, instances, labels, present, rng) -> None:
         m = self.max_size
-        quotas = frequency_aware_quotas(self.observations, m)
+        quotas = self._quotas
+        store = self._split_by_class()
         incoming = {c: instances[labels == c] for c in present}
-        stored = {c: len(self.store.get(c, [])) for c in self.seen_order}
         available = {
-            c: stored[c] + (incoming[c].size if c in incoming else 0)
+            c: len(store[c]) + (incoming[c].size if c in incoming else 0)
             for c in self.seen_order
         }
         target = {c: min(quotas[c], available[c]) for c in self.seen_order}
@@ -210,7 +268,7 @@ class ReplayBuffer:
             target[c] += take
             leftover -= take
         for c in self.seen_order:
-            items = self.store.get(c, [])
+            items = store[c]
             want = target[c]
             if want < len(items):
                 keep = rng.choice(len(items), size=want, replace=False)
@@ -219,25 +277,8 @@ class ReplayBuffer:
                 pool = incoming[c]
                 add = rng.choice(pool, size=want - len(items), replace=False)
                 items = items + [int(v) for v in add]
-            self.store[c] = items
-
-
-def update_rs(buffer: ReplayBuffer, instances, labels, rng) -> ReplayBuffer:
-    assert buffer.policy == "rs"
-    buffer.update(instances, labels, rng)
-    return buffer
-
-
-def update_cb(buffer: ReplayBuffer, instances, labels, rng) -> ReplayBuffer:
-    assert buffer.policy == "cb"
-    buffer.update(instances, labels, rng)
-    return buffer
-
-
-def update_fa(buffer: ReplayBuffer, instances, labels, rng) -> ReplayBuffer:
-    assert buffer.policy == "fa"
-    buffer.update(instances, labels, rng)
-    return buffer
+            store[c] = items
+        self._set_grouped(store)
 
 
 def buffer_composition(buffer: ReplayBuffer, infrequent_classes=()) -> BufferComposition:

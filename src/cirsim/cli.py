@@ -60,9 +60,9 @@ def _collect_overrides(args) -> list[str]:
     if args.seed is not None:
         overrides.append(f"seeds=[{args.seed}]")
     if args.out is not None:
-        overrides.append(f'output_dir="{args.out}"')
+        overrides.append(f"output_dir={json.dumps(args.out)}")
     if getattr(args, "buffer_policy", None):
-        overrides.append(f'buffer.policy="{args.buffer_policy}"')
+        overrides.append(f"buffer.policy={json.dumps(args.buffer_policy)}")
     if getattr(args, "buffer_size", None) is not None:
         overrides.append(f"buffer.size={args.buffer_size}")
     if getattr(args, "generator_k", None) is not None:

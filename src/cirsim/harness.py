@@ -14,9 +14,11 @@ the stream a strategy sees never depends on the strategy itself.
 
 import functools
 import json
+import os
 import statistics
 import time
 import traceback
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -103,34 +105,6 @@ def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None
 # -- cell state (resume support) ----------------------------------------------
 
 
-def _buffer_to_state(buffer: ReplayBuffer | None) -> dict | None:
-    if buffer is None:
-        return None
-    return {
-        "policy": buffer.policy,
-        "max_size": buffer.max_size,
-        "store": {str(c): list(items) for c, items in buffer.store.items()},
-        "seen_order": list(buffer.seen_order),
-        "observations": {str(c): n for c, n in buffer.observations.items()},
-        "rs_seen_count": buffer.rs_seen_count,
-        "rs_items": [list(p) for p in buffer._rs_items],
-        "cb_class_seen": {str(c): n for c, n in buffer._cb_class_seen.items()},
-    }
-
-
-def _buffer_from_state(state: dict | None) -> ReplayBuffer | None:
-    if state is None:
-        return None
-    buf = ReplayBuffer(max_size=state["max_size"], policy=state["policy"])
-    buf.store = {int(c): list(items) for c, items in state["store"].items()}
-    buf.seen_order = list(state["seen_order"])
-    buf.observations = {int(c): n for c, n in state["observations"].items()}
-    buf.rs_seen_count = state["rs_seen_count"]
-    buf._rs_items = [tuple(p) for p in state["rs_items"]]
-    buf._cb_class_seen = {int(c): n for c, n in state["cb_class_seen"].items()}
-    return buf
-
-
 def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
@@ -184,13 +158,21 @@ def cell_dir(out_dir: Path, strategy: str, seed: int) -> CellPaths:
     return CellPaths(out_dir / strategy / f"seed{seed}")
 
 
-def _latest_state_index(paths: CellPaths) -> int | None:
-    if not paths.states.is_dir():
-        return None
+def _load_resume_point(paths: CellPaths) -> tuple[int, dict, learner.ModelParams] | None:
+    """(index, state, params) of the newest saved state whose JSON parses
+    and whose checkpoint loads; a pair torn by a crash yields to the one
+    before it."""
     indices = sorted(
-        int(p.stem.split("_")[1]) for p in paths.states.glob("state_*.json")
+        (int(p.stem.split("_")[1]) for p in paths.states.glob("state_*.json")), reverse=True
     )
-    return indices[-1] if indices else None
+    for index in indices:
+        try:
+            state = json.loads(paths.state_file(index).read_text())
+            params = learner.load_checkpoint(paths.checkpoint_file(index)).params
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            continue
+        return index, state, params
+    return None
 
 
 def _truncate_csv(path: Path, max_experience: int) -> None:
@@ -240,16 +222,21 @@ def run_cell(
     seen: set[int] = set()
 
     if resume:
-        latest = _latest_state_index(paths)
-        if latest is not None:
-            state = json.loads(paths.state_file(latest).read_text())
+        point = _load_resume_point(paths)
+        if point is not None:
+            latest, state, params = point
+            if state.get("state_version") != STATE_VERSION:
+                raise ConfigError(
+                    f"resume state has state_version {state.get('state_version')}, "
+                    f"this version of cirsim reads state_version {STATE_VERSION}"
+                )
             if state["config_digest"] != digest:
                 raise ConfigError(
                     "resume state was produced by a different config "
                     f"(digest {state['config_digest']} != {digest})"
                 )
-            params = learner.load_checkpoint(paths.checkpoint_file(latest)).params
-            buffer = _buffer_from_state(state["buffer"])
+            if state["buffer"] is not None:
+                buffer = ReplayBuffer.from_state(state["buffer"])
             train_rng = _restore_rng(state["train_rng"])
             buffer_rng = _restore_rng(state["buffer_rng"])
             seen = set(state["seen_classes"])
@@ -321,9 +308,12 @@ def run_cell(
                 "seen_classes": sorted(seen),
                 "train_rng": _rng_state(train_rng),
                 "buffer_rng": _rng_state(buffer_rng),
-                "buffer": _buffer_to_state(buffer),
+                "buffer": None if buffer is None else buffer.to_state(),
             }
-            paths.state_file(exp.index).write_text(json.dumps(state))
+            # write aside, then rename: a crash leaves the old state or the new
+            tmp = paths.states / "state.json.tmp"
+            tmp.write_text(json.dumps(state))
+            os.replace(tmp, paths.state_file(exp.index))
         if stopping:
             break
     return records

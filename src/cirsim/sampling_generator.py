@@ -131,14 +131,6 @@ class OccurrenceMatrix:
             np.ascontiguousarray(self.matrix, dtype=np.int8).tobytes()
         ).hexdigest()
 
-    def save_csv(self, path) -> None:
-        """0/1 grid, one row per class, one column per experience."""
-        with open(path, "w", encoding="utf-8") as f:
-            n = self.n_experiences
-            f.write("class," + ",".join(f"e{i}" for i in range(n)) + "\n")
-            for c in range(self.num_classes):
-                f.write(f"{c}," + ",".join(str(int(v)) for v in self.matrix[c]) + "\n")
-
 
 def build_occurrence_matrix(cfg: SamplingConfig, rng: np.random.Generator) -> OccurrenceMatrix:
     """Sample first occurrences, then per-class Bernoulli repetition.

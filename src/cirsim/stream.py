@@ -278,20 +278,6 @@ class PropertyReport:
     concept_overlap: np.ndarray = field(repr=False, default=None)
     instance_overlap: np.ndarray = field(repr=False, default=None)
 
-    def summary_lines(self) -> list[str]:
-        return [
-            f"experiences: {self.n_experiences} (pairs tested: {self.n_pairs})",
-            f"instance overlap: max {self.max_instance_overlap} "
-            f"(pairwise disjoint: {self.instances_pairwise_disjoint})",
-            f"concept overlap: max {self.max_concept_overlap} "
-            f"(pairwise disjoint: {self.concepts_pairwise_disjoint})",
-            f"domain coverage: {self.covered_instance_fraction:.4f} "
-            f"(full: {self.domain_coverage})",
-            f"codomain coverage: {self.covered_class_fraction:.4f} "
-            f"(full: {self.codomain_coverage})",
-            f"classification: {self.classification}",
-        ]
-
 
 def verify_scenario_properties(stream: Stream, dataset: LabeledDataset) -> PropertyReport:
     """Classify a stream as CI, DI or CIR from its overlap/coverage profile.

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cirsim.buffers import (
+    POLICIES,
     ReplayBuffer,
     buffer_composition,
     class_balanced_quotas,
     frequency_aware_quotas,
-    update_cb,
-    update_fa,
-    update_rs,
 )
 
 
@@ -216,15 +215,34 @@ def test_capacity_invariant_across_policies_random_streams():
                 assert buf.total_stored() == 37
 
 
-def test_update_functions_enforce_policy():
-    rng = np.random.default_rng(0)
-    buf = ReplayBuffer(max_size=10, policy="rs")
-    update_rs(buf, np.arange(5), np.zeros(5, dtype=int), rng)
-    assert buf.total_stored() == 5
-    with pytest.raises(AssertionError):
-        update_cb(buf, np.arange(5), np.zeros(5, dtype=int), rng)
-    with pytest.raises(AssertionError):
-        update_fa(buf, np.arange(5), np.zeros(5, dtype=int), rng)
+@given(
+    policy=st.sampled_from(POLICIES),
+    max_size=st.integers(1, 30),
+    experiences=st.lists(st.lists(st.integers(0, 9), max_size=25), min_size=1, max_size=8),
+    cut=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_state_round_trip_mid_stream(policy, max_size, experiences, cut, seed):
+    buf = ReplayBuffer(max_size=max_size, policy=policy)
+    rng = np.random.default_rng(seed)
+    start = 0
+    for labels in experiences[:cut]:
+        start = _feed(buf, labels, rng, start)
+    restored = ReplayBuffer.from_state(json.loads(json.dumps(buf.to_state())))
+    rng_restored = np.random.default_rng(seed)
+    rng_restored.bit_generator.state = rng.bit_generator.state
+    for labels in [[]] + experiences[cut:]:
+        _feed(restored, labels, rng_restored, start)
+        start = _feed(buf, labels, rng, start)
+        assert json.dumps(restored.to_state()) == json.dumps(buf.to_state())
+        assert restored.quotas() == buf.quotas()
+        assert restored.counts() == buf.counts()
+        if buf.total_stored():
+            for got, want in zip(restored.sample(7, rng_restored), buf.sample(7, rng)):
+                assert np.array_equal(got, want)
+    inst, labs = buf.stored_instances_and_labels()
+    assert not inst.flags.writeable and not labs.flags.writeable
 
 
 def test_composition_empty_buffer():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,80 @@ def test_resume_refuses_other_configs_state(tmp_path):
         harness.run(cfg2, out_dir=out, resume=True)
 
 
+def test_resume_rejects_other_state_version(tmp_path):
+    out = tmp_path / "out"
+    raw = small_config(out, checkpoint_every=2, strategies=["er-cb"], seeds=[0])
+    cfg = ExperimentConfig.from_dict(raw)
+    harness.run(cfg, stop_after=3)
+    path = out / "er-cb" / "seed0" / "state" / "state_00003.json"
+    state = json.loads(path.read_text())
+    state["state_version"] = 2
+    path.write_text(json.dumps(state))
+    with pytest.raises(ConfigError, match=r"state_version 2.*state_version 1"):
+        harness.run(cfg, resume=True)
+
+
+def test_resume_skips_torn_newest_state_or_checkpoint(tmp_path):
+    raw = small_config(tmp_path / "full", checkpoint_every=3,
+                       strategies=["er-rs", "er-cb", "er-fa"], seeds=[0])
+    cfg = ExperimentConfig.from_dict(raw)
+    assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
+
+    resumed = tmp_path / "resumed"
+    assert harness.run(cfg, out_dir=resumed, stop_after=6) == harness.EXIT_OK
+    torn = {"er-rs": "state/state_00006.json", "er-cb": "checkpoints/ckpt_00006.npz",
+            "er-fa": "state/state_00006.json"}
+    for strategy, rel in torn.items():
+        newest = resumed / strategy / "seed0" / rel
+        newest.write_bytes(newest.read_bytes()[:40])  # torn mid-write
+        assert not list((resumed / strategy / "seed0" / "state").glob("*.tmp"))
+    assert harness.run(cfg, out_dir=resumed, resume=True) == harness.EXIT_OK
+    for strategy in ("er-rs", "er-cb", "er-fa"):
+        for name in ("metrics.csv", "buffer_trace.csv"):
+            rel = f"{strategy}/seed0/{name}"
+            assert (resumed / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes(), rel
+
+
+# sha256 of each replay cell's outputs for a tiny grid whose buffer (M=5) is
+# smaller than its label space (C=8): any change to the results, the buffer's
+# RNG draw order or the resume-state bytes shows here
+GOLDEN_DIGESTS = {
+    "er-rs": {
+        "metrics.csv": "57b1fe3f49af73d856f7336e264a48a35595928620dd2b2966f9254e22a639e8",
+        "buffer_trace.csv": "05862d7ab83db2c702fbbf5e85ed277b0dd3fa7b974d4a4c8accf4f799be92f8",
+        "state/state_00007.json": "4437b482e59a6033acab3c7f77206f5b243df1e0fc61bfba9243cc9af9c551bf",
+    },
+    "er-cb": {
+        "metrics.csv": "66c914e3ad52e629dd70dceea4e1164c1c6c08c6abe09b5e25ffc07c8bc34977",
+        "buffer_trace.csv": "f0331f61831884ede277cc739167e7ac8bedf87c03d38d0b68388ffc33715ebc",
+        "state/state_00007.json": "944da5768ab11793f41616a41994015d4148736b8e39e3727c8260c457999b1f",
+    },
+    "er-fa": {
+        "metrics.csv": "154dc718afef2452244ff789b93b7a2243a25943e626419f76c97e86248350e4",
+        "buffer_trace.csv": "6094119988c28b00c42f1c53d7b4ac02f995a61ba0812d4e19c93e801aab0aa9",
+        "state/state_00007.json": "d8ec4e876d61534499b90904fd8caa833d46293d6d800a7e946afab26c10a6d2",
+    },
+}
+
+
+def test_replay_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    raw = small_config(
+        out,
+        dataset={"kind": "synthetic", "num_classes": 8, "per_class": 20,
+                 "dim": 6, "spread": 0.6, "test_fraction": 0.2, "seed": 0},
+        strategies=["er-rs", "er-cb", "er-fa"],
+        buffer={"size": 5, "policy": "rs"},
+        seeds=[0],
+        checkpoint_every=3,
+    )
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    for strategy, files in GOLDEN_DIGESTS.items():
+        for rel, digest in files.items():
+            data = (out / strategy / "seed0" / rel).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{rel}"
+
+
 def test_malformed_dataset_csv_is_config_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,f0\n")  # header only, no instances
@@ -300,6 +376,20 @@ class TestCli:
         saved = json.loads((out / "config.json").read_text())
         assert saved["buffer"]["size"] == 20
         assert saved["seeds"] == [5]
+
+    @pytest.mark.parametrize("out", ['/x/a"b', "C:\\temp\\new", "\\u0041"])
+    def test_out_flag_reaches_config_unchanged(self, tmp_path, monkeypatch, out):
+        path = write_config(tmp_path, small_config(tmp_path / "ignored"))
+        received = []
+
+        def fake_run(cfg, **kwargs):
+            received.append(cfg)
+            return harness.EXIT_OK
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        assert cli.main(["run", str(path), "--out", out, "--buffer.policy", "fa"]) == 0
+        assert received[0].output_dir == out
+        assert received[0].buffer_policy == "fa"
 
     def test_slot_k_and_n_flags(self, tmp_path, capsys):
         raw = small_config(
