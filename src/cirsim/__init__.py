@@ -27,6 +27,7 @@ from .learner import (
     load_checkpoint,
     loss_and_grads,
     predict,
+    predict_labels,
     restore,
     save_checkpoint,
     snapshot,

@@ -106,12 +106,43 @@ def linear_cka(acts_x: np.ndarray, acts_y: np.ndarray) -> float:
         raise ValueError("activation matrices must have the same number of samples")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    x = x - x.mean(axis=0, keepdims=True)
-    y = y - y.mean(axis=0, keepdims=True)
-    denom = np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)
+    return _cka(_centred(x), _centred(y))
+
+
+def _centred(acts: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """The column-centred matrix c and the Frobenius norm of its Gram matrix
+    c.T @ c: the part of linear CKA that depends on one side only."""
+    c = acts - acts.mean(axis=0, keepdims=True)
+    return c, np.linalg.norm(c.T @ c)
+
+
+def _cka(side_x, side_y) -> float:
+    (x, norm_x), (y, norm_y) = side_x, side_y
+    denom = norm_x * norm_y
     if denom == 0.0:
         raise ValueError("zero-variance activations")
     return float(np.linalg.norm(y.T @ x) ** 2 / denom)
+
+
+def prepare_cka(params: ModelParams, probe_features: np.ndarray) -> list:
+    """One model's side of ``cka_layer_matrix`` on a probe batch, per layer:
+    the column-centred activations and the norm of their Gram matrix.
+    Preparing each checkpoint once lets a sequence of pairs skip
+    recomputing them."""
+    layers = activations(params, probe_features)
+    if layers[0].shape[0] < 2:
+        raise ValueError("need at least 2 samples")
+    return [_centred(acts) for acts in layers]
+
+
+def cka_prepared_matrix(prepared_a: list, prepared_b: list) -> np.ndarray:
+    """``cka_layer_matrix`` from two ``prepare_cka`` results; bitwise equal
+    to it, since every entry runs the same operations as ``linear_cka``."""
+    out = np.empty((len(prepared_a), len(prepared_b)))
+    for i, side_x in enumerate(prepared_a):
+        for j, side_y in enumerate(prepared_b):
+            out[i, j] = _cka(side_x, side_y)
+    return out
 
 
 def cka_layer_matrix(
@@ -123,10 +154,6 @@ def cka_layer_matrix(
     ``params_b``; the diagonal tracks how much each layer's representation
     moved between the two parameter snapshots.
     """
-    acts_a = activations(params_a, probe_features)
-    acts_b = activations(params_b, probe_features)
-    out = np.empty((len(acts_a), len(acts_b)))
-    for i, ax in enumerate(acts_a):
-        for j, by in enumerate(acts_b):
-            out[i, j] = linear_cka(ax, by)
-    return out
+    return cka_prepared_matrix(
+        prepare_cka(params_a, probe_features), prepare_cka(params_b, probe_features)
+    )

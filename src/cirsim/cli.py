@@ -84,7 +84,11 @@ def main(argv=None) -> int:
 
         if args.command == "analyze":
             code = harness.analyze(args.run_dir, force_all=args.force_all)
-            print(f"analysis written under {args.run_dir}")
+            if code == harness.EXIT_OK:
+                print(f"analysis written under {args.run_dir}")
+            else:
+                report = os.path.join(args.run_dir, "error_report.json")
+                print(f"analysis failed: see {report}", file=sys.stderr)
             return code
 
         cfg = load_config(args.config, overrides=_collect_overrides(args))

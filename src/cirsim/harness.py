@@ -18,7 +18,6 @@ import os
 import statistics
 import time
 import traceback
-import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,7 +168,7 @@ def _load_resume_point(paths: CellPaths) -> tuple[int, dict, learner.ModelParams
         try:
             state = json.loads(paths.state_file(index).read_text())
             params = learner.load_checkpoint(paths.checkpoint_file(index)).params
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        except (OSError, ValueError):  # CheckpointError is a ValueError
             continue
         return index, state, params
     return None
@@ -365,33 +364,41 @@ def run(
     try:
         stream_for = _stream_per_seed(cfg, train_set)
         final_by_strategy: dict[str, list[metrics.RunRecord]] = {}
+        n_experiences: dict[int, int] = {}
         for strategy in cfg.strategies:
             for seed in cfg.seeds:
                 paths = cell_dir(out, strategy, seed)
+                stream = stream_for(seed)
+                n_experiences[seed] = len(stream)
                 records = run_cell(
-                    cfg, train_set, test_set, stream_for(seed), strategy, seed, paths,
+                    cfg, train_set, test_set, stream, strategy, seed, paths,
                     resume=resume, stop_after=stop_after,
                 )
                 final = records[-1] if records else _final_record_from_csv(paths, strategy, seed)
                 if final is not None:
                     final_by_strategy.setdefault(strategy, []).append(final)
-        _write_summary(out, cfg, final_by_strategy)
+        _write_summary(out, cfg, final_by_strategy, n_experiences)
         if stop_after is None and (
             cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
         ):
-            analyze(out)
+            return analyze(out)
     except ConfigError:
         raise
     except Exception as exc:  # runtime failure: structured report, partial outputs marked
-        report = {
-            "error": repr(exc),
-            "traceback": traceback.format_exc(),
-            "config_digest": digest,
-            "incomplete": True,
-        }
-        (out / "error_report.json").write_text(json.dumps(report, indent=1) + "\n")
+        _write_error_report(out, exc, digest)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _write_error_report(out: Path, exc: Exception, digest: str, **cell) -> None:
+    report = {
+        "error": repr(exc),
+        "traceback": "".join(traceback.format_exception(exc)),
+        "config_digest": digest,
+        "incomplete": True,
+        **cell,
+    }
+    (out / "error_report.json").write_text(json.dumps(report, indent=1) + "\n")
 
 
 def _final_record_from_csv(paths: CellPaths, strategy: str, seed: int):
@@ -427,7 +434,11 @@ def _agg(values: list[float | None]) -> dict | None:
     }
 
 
-def _write_summary(out: Path, cfg: ExperimentConfig, final_by_strategy) -> None:
+def _write_summary(out: Path, cfg: ExperimentConfig, final_by_strategy, n_experiences) -> None:
+    """Aggregate final metrics per strategy. A cell that stopped before the
+    last experience of its stream (``stop_after``) is listed under
+    ``incomplete_cells`` with the last experience it reached; the key is
+    absent when every cell finished."""
     summary = {
         "config_digest": cfg.digest(),
         "created_unix": time.time(),
@@ -435,11 +446,19 @@ def _write_summary(out: Path, cfg: ExperimentConfig, final_by_strategy) -> None:
         "strategies": {},
     }
     for strategy, records in final_by_strategy.items():
-        summary["strategies"][strategy] = {
+        entry = {
             "final_ta": _agg([r.ta for r in records]),
             "final_sca": _agg([r.sca for r in records]),
             "final_mca": _agg([r.mca for r in records]),
         }
+        cut_short = [
+            {"seed": r.seed, "incomplete": True, "last_experience_index": r.experience_index}
+            for r in records
+            if r.experience_index < n_experiences[r.seed] - 1
+        ]
+        if cut_short:
+            entry["incomplete_cells"] = cut_short
+        summary["strategies"][strategy] = entry
     (out / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
 
 
@@ -516,6 +535,8 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     Uses the analyses enabled in the run's config; ``force_all`` computes all
     three. Interpolation curves are evaluated on the training data of the
     pair's earlier experience, CKA on a fixed probe batch from the test set.
+    A cell that fails (say, on a torn checkpoint) stops the analysis with
+    ``error_report.json`` naming the cell, and returns ``EXIT_RUNTIME``.
     """
     run_dir = Path(run_dir)
     config_path = run_dir / "config.json"
@@ -544,22 +565,26 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
             paths = cell_dir(run_dir, strategy, seed)
             if not paths.checkpoints.is_dir():
                 continue
-            ckpts = sorted(
-                (learner.load_checkpoint(p) for p in paths.checkpoints.glob("ckpt_*.npz")),
-                key=lambda ck: ck.experience_index,
-            )
-            if not ckpts:
-                continue
-            paths.analysis_dir.mkdir(exist_ok=True)
-            trained = [ck for ck in ckpts if ck.experience_index >= 0]
-            init = next((ck for ck in ckpts if ck.experience_index < 0), None)
+            try:
+                ckpts = sorted(
+                    (learner.load_checkpoint(p) for p in paths.checkpoints.glob("ckpt_*.npz")),
+                    key=lambda ck: ck.experience_index,
+                )
+                if not ckpts:
+                    continue
+                paths.analysis_dir.mkdir(exist_ok=True)
+                trained = [ck for ck in ckpts if ck.experience_index >= 0]
+                init = next((ck for ck in ckpts if ck.experience_index < 0), None)
 
-            if do_interp and len(trained) >= 2:
-                _write_interpolation(paths, trained, stream_for(seed), train_set, spec, digest)
-            if do_blocks and init is not None:
-                _write_block_distance(paths, init, trained, digest)
-            if do_cka and len(trained) >= 2:
-                _write_cka(paths, trained, probe, digest)
+                if do_interp and len(trained) >= 2:
+                    _write_interpolation(paths, trained, stream_for(seed), train_set, spec, digest)
+                if do_blocks and init is not None:
+                    _write_block_distance(paths, init, trained, digest)
+                if do_cka and len(trained) >= 2:
+                    _write_cka(paths, trained, probe, digest)
+            except Exception as exc:  # runtime failure of one cell: report it and stop
+                _write_error_report(run_dir, exc, digest, strategy=strategy, seed=seed)
+                return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -597,8 +622,12 @@ def _write_cka(paths, trained, probe, digest) -> None:
     with open(paths.analysis_dir / "cka.csv", "w", encoding="utf-8") as f:
         f.write(f"# config_digest={digest}\n")
         f.write("pair_id,layer_x,layer_y,value\n")
+        # each checkpoint is prepared once; only the pair at hand is held
+        prepared_b = ana.prepare_cka(trained[0].params, probe)
         for ck_a, ck_b in zip(trained[:-1], trained[1:]):
-            matrix = ana.cka_layer_matrix(ck_a.params, ck_b.params, probe)
+            prepared_a = prepared_b
+            prepared_b = ana.prepare_cka(ck_b.params, probe)
+            matrix = ana.cka_prepared_matrix(prepared_a, prepared_b)
             pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
             for i in range(matrix.shape[0]):
                 for j in range(matrix.shape[1]):

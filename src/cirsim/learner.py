@@ -14,6 +14,7 @@ weight diagnostics and layer-wise activation probes have stable handles.
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,8 @@ def _forward(params: ModelParams, x: np.ndarray):
         a = a[None, :]
     pre, post = [], [a]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = post[-1] @ w + b
+        z = post[-1] @ w
+        z += b  # in place: the same additions, without a second logits-sized array
         pre.append(z)
         if i < len(params.weights) - 1:
             post.append(_act(z, params.activation))
@@ -131,20 +133,54 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax class ids and the full softmax probability matrix."""
+def _model_input(params: ModelParams, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
     if features.shape[-1] != params.dim_in:
         raise ValueError(
             f"feature dimension {features.shape[-1]} does not match model input {params.dim_in}"
         )
+    return features
+
+
+def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax class ids and the full softmax probability matrix."""
+    features = _model_input(params, features)
     _, _, logits = _forward(params, features)
     probs = softmax(logits)
     labels = probs.argmax(axis=1)
-    if single:
+    if features.ndim == 1:
         return labels[0], probs[0]
     return labels, probs
+
+
+# Logits this close to a row's top logit may share its softmax probability
+# after rounding; farther ones cannot (see predict_labels).
+_TIE_GAP = 1e-12
+
+
+def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Argmax class ids, equal to ``predict(params, features)[0]`` exactly,
+    without building the softmax of every row.
+
+    softmax's argmax is the first class of highest rounded probability. In a
+    row whose top logit m is finite and whose other logits all lie more than
+    ``_TIE_GAP`` below it, the top class has exp(0) = 1 and every other class
+    exp(l - m) <= 1 - ~4000 ulp; dividing both by the same row sum keeps the
+    top strictly ahead, so the softmax argmax is the logits' argmax. Only the
+    other rows (near or exact ties, nan or infinite logits) go through the
+    softmax itself.
+    """
+    features = _model_input(params, features)
+    _, _, logits = _forward(params, features)
+    labels = logits.argmax(axis=1)
+    top = logits[np.arange(logits.shape[0]), labels]
+    near = np.count_nonzero(logits >= (top - _TIE_GAP)[:, None], axis=1)
+    rows = np.flatnonzero((near > 1) | ~np.isfinite(top))
+    if rows.size:
+        labels[rows] = softmax(logits[rows]).argmax(axis=1)
+    if features.ndim == 1:
+        return labels[0]
+    return labels
 
 
 def activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
@@ -179,7 +215,7 @@ def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray):
 
 
 def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    labels, _ = predict(params, x)
+    labels = predict_labels(params, x)
     return float((labels == np.asarray(y)).mean())
 
 
@@ -277,20 +313,22 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError("unsupported checkpoint format version")
-        n = header["n_layers"]
-        params = ModelParams(
-            weights=[data[f"w{i}"] for i in range(n)],
-            biases=[data[f"b{i}"] for i in range(n)],
-            activation=header["activation"],
-        )
-    if _params_digest(params) != header["digest"]:
+    """Raises ``CheckpointError`` naming ``path`` when the file is torn,
+    corrupt, of another format version, or fails its digest."""
+    try:
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+                raise CheckpointError("unsupported checkpoint format version")
+            n = header["n_layers"]
+            params = ModelParams(
+                weights=[data[f"w{i}"] for i in range(n)],
+                biases=[data[f"b{i}"] for i in range(n)],
+                activation=header["activation"],
+            )
+            digest, index = header["digest"], header["experience_index"]
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    if _params_digest(params) != digest:
         raise CheckpointError(f"checkpoint digest mismatch in {path}")
-    return Checkpoint(
-        params=params,
-        experience_index=header["experience_index"],
-        meta=header.get("meta", {}),
-    )
+    return Checkpoint(params=params, experience_index=index, meta=header.get("meta", {}))

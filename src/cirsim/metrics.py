@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learner import ModelParams, predict
+from .learner import ModelParams, predict_labels
 from .stream import LabeledDataset
 
 
@@ -69,7 +69,7 @@ def evaluate(
     """Score a parameter snapshot on the test set under an evaluation context."""
     if params.num_classes != test_set.num_classes:
         raise ValueError("model output dimension does not match test set classes")
-    labels, _ = predict(params, test_set.features)
+    labels = predict_labels(params, test_set.features)
     correct = labels == test_set.labels
 
     # hits / totals per class: both are exact integer counts, so each entry

@@ -8,6 +8,7 @@ streams with repetition memory-proportional to the dataset.
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,11 +348,15 @@ def save_dataset_csv(dataset: LabeledDataset, path) -> None:
 def load_dataset_csv(path, num_classes: int | None = None) -> LabeledDataset:
     labels, rows = [], []
     with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.reader(f):
+        reader = csv.reader(f)
+        for row in reader:
             if not row or row[0] == "label":
                 continue
             labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+            features = [float(v) for v in row[1:]]
+            if not all(map(math.isfinite, features)):
+                raise ValueError(f"non-finite feature in {path}, line {reader.line_num}")
+            rows.append(features)
     if not rows:
         raise ValueError(f"no instances found in {path}")
     labels = np.asarray(labels, dtype=np.int64)

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from cirsim import cli, harness, learner
+from cirsim import analysis, cli, harness, learner
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
 from cirsim.metrics import parse_csv
 
@@ -163,6 +164,25 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         assert full == resumed, rel
 
 
+def test_summary_marks_cells_cut_short(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(out, checkpoint_every=2, seeds=[0, 1]))
+    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    for strategy in ("naive", "er-rs"):
+        assert summary["strategies"][strategy]["incomplete_cells"] == [
+            {"seed": 0, "incomplete": True, "last_experience_index": 3},
+            {"seed": 1, "incomplete": True, "last_experience_index": 3},
+        ]
+    # finished, by resume or in one go: no key beyond the aggregates
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    for run_dir in (out, tmp_path / "whole"):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        for entry in summary["strategies"].values():
+            assert set(entry) == {"final_ta", "final_sca", "final_mca"}
+
+
 def test_resume_of_completed_run_keeps_summary_whole(tmp_path):
     out = tmp_path / "out"
     raw = small_config(out, checkpoint_every=3)
@@ -264,6 +284,89 @@ def test_replay_outputs_match_golden_digests(tmp_path):
         for rel, digest in files.items():
             data = (out / strategy / "seed0" / rel).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{rel}"
+
+
+def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    trained = [
+        learner.snapshot(learner.init_params(6, (8, 5), 4, "relu", rng), index)
+        for index in range(5)
+    ]
+    probe = rng.normal(size=(20, 6))
+    paths = harness.CellPaths(tmp_path)
+    paths.analysis_dir.mkdir()
+
+    prepare, prepared_matrix = analysis.prepare_cka, analysis.cka_prepared_matrix
+    prepared_refs, matrices = [], []
+
+    def spy_prepare(params, probe_features):
+        prepared = prepare(params, probe_features)
+        prepared_refs.append(weakref.ref(prepared[0][0]))
+        return prepared
+
+    def spy_matrix(prepared_a, prepared_b):
+        # a sliding window: only the pair at hand is still alive
+        assert sum(ref() is not None for ref in prepared_refs) <= 2
+        matrices.append(prepared_matrix(prepared_a, prepared_b))
+        return matrices[-1]
+
+    monkeypatch.setattr(analysis, "prepare_cka", spy_prepare)
+    monkeypatch.setattr(analysis, "cka_prepared_matrix", spy_matrix)
+    harness._write_cka(paths, trained, probe, "d")
+    monkeypatch.undo()
+
+    assert len(prepared_refs) == len(trained)  # each checkpoint prepared once
+    expected = ["# config_digest=d", "pair_id,layer_x,layer_y,value"]
+    for matrix, ck_a, ck_b in zip(matrices, trained[:-1], trained[1:], strict=True):
+        reference = analysis.cka_layer_matrix(ck_a.params, ck_b.params, probe)
+        assert matrix.tobytes() == reference.tobytes()
+        expected += [
+            f"{ck_a.experience_index}-{ck_b.experience_index},layer{i},layer{j},{value:.6f}"
+            for (i, j), value in np.ndenumerate(reference)
+        ]
+    assert (paths.analysis_dir / "cka.csv").read_text().splitlines() == expected
+
+
+def _tear(path):
+    path.write_bytes(path.read_bytes()[:50])
+
+
+def _swap_weights(path):
+    # a well-formed file whose weights no longer match its header digest
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["w0"] = arrays["w0"] + 1.0
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+@pytest.mark.parametrize("damage", [_tear, _swap_weights])
+def test_analyze_reports_damaged_checkpoint(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive", "er-fa"], seeds=[0], checkpoint_every=1)
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 0
+    damaged = out / "er-fa" / "seed0" / "checkpoints" / "ckpt_00002.npz"
+    damage(damaged)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    assert "analysis failed" in capsys.readouterr().err
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"]) == ("er-fa", 0)
+    assert str(damaged) in report["error"]
+    assert "CheckpointError" in report["error"]
+
+
+def test_non_finite_csv_feature_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("label,f0,f1\n0,0.5,1.0\n1,nan,0.0\n")
+    raw = small_config(
+        tmp_path / "out",
+        dataset={"kind": "csv", "train_path": str(data), "test_path": str(data)},
+    )
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == harness.EXIT_CONFIG
+    assert f"non-finite feature in {data}, line 3" in capsys.readouterr().err
+    data.write_text("label,f0,f1\n0,-inf,1.0\n")
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == harness.EXIT_CONFIG
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_malformed_dataset_csv_is_config_error(tmp_path):

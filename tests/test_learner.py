@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cirsim import learner
 from cirsim.buffers import ReplayBuffer
 from cirsim.learner import (
     CheckpointError,
@@ -13,6 +18,7 @@ from cirsim.learner import (
     load_checkpoint,
     loss_and_grads,
     predict,
+    predict_labels,
     restore,
     save_checkpoint,
     snapshot,
@@ -98,6 +104,76 @@ def test_predict_dimension_mismatch():
     params = init_params(8, (), 3, "relu", np.random.default_rng(0))
     with pytest.raises(ValueError):
         predict(params, np.zeros((2, 5)))
+
+
+def _log_uniform(draw, low, high):
+    return 10.0 ** draw(st.floats(np.log10(low), np.log10(high)))
+
+
+@st.composite
+def adversarial_logits(draw):
+    """Rows of logits with a top of magnitude 1e-3 to 700 at a random column;
+    each other entry lies 1e-3 to 1400 below it, ties it exactly, is one to
+    three floats below it (nextafter), lies within 2e-12 of it, or is nan or
+    +-inf. Near-ties only collapse in exp() when the top is small, so the
+    magnitudes are log-uniform."""
+    n, c = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    kinds = ("below", "below", "tie", "nextafter", "nextafter", "gap", "nan", "inf", "-inf")
+    rows = []
+    for _ in range(n):
+        top = _log_uniform(draw, 1e-3, 700) * draw(st.sampled_from((-1.0, 1.0)))
+        top_at = draw(st.integers(0, c - 1))
+        row = []
+        for j in range(c):
+            kind = "top" if j == top_at else draw(st.sampled_from(kinds))
+            value = top
+            if kind == "below":
+                value = top - _log_uniform(draw, 1e-3, 1400)
+            elif kind == "nextafter":
+                for _ in range(draw(st.integers(1, 3))):
+                    value = np.nextafter(value, -np.inf)
+            elif kind == "gap":
+                value = top - draw(st.floats(0.0, 2e-12))
+            elif kind in ("nan", "inf", "-inf"):
+                value = float(kind)
+            row.append(value)
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(logits=adversarial_logits(), one_d=st.booleans())
+# a near-tie whose exp rounds to 1.0, so the softmax argmax is the first index
+@example(logits=np.array([[np.nextafter(1e-3, -np.inf), 1e-3]]), one_d=False)
+# numpy's argmax stops at the first nan; the all-nan softmax row gives index 0
+@example(logits=np.array([[0.5, 0.25], [0.0, np.nan]]), one_d=False)
+@settings(max_examples=300, deadline=None)
+def test_predict_labels_equals_softmax_argmax(logits, one_d):
+    c = logits.shape[1]
+    params = ModelParams(weights=[np.zeros((c, c))], biases=[np.zeros(c)])
+    if one_d:
+        logits, features = logits[:1], np.zeros(c)
+    else:
+        features = np.zeros((logits.shape[0], c))
+    with mock.patch.object(learner, "_forward", lambda p, x: (None, None, logits)):
+        with np.errstate(invalid="ignore"):
+            want = predict(params, features)[0]
+            got = predict_labels(params, features)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_forward_leaves_parameters_unchanged():
+    rng = np.random.default_rng(4)
+    params = init_params(8, (12, 6), 5, "relu", rng)
+    params.biases = [rng.normal(size=b.shape) for b in params.biases]
+    before = params.copy()
+    x = rng.normal(size=(30, 8))
+    labels, _ = predict(params, x)
+    assert np.array_equal(predict_labels(params, x), labels)
+    loss_and_grads(params, x, labels)
+    activations(params, x)
+    for now, then in zip(params.weights + params.biases, before.weights + before.biases):
+        assert now.tobytes() == then.tobytes()
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
