@@ -24,11 +24,15 @@ POLICIES = ("rs", "cb", "fa")
 
 def frequency_aware_quotas(observations: dict[int, int], max_size: int) -> dict[int, int]:
     """Per-class slot targets: ceil(normalized 1/observations * max_size),
-    trimmed one slot at a time until they sum to max_size.
+    trimmed until they sum to max_size.
 
-    Trimming picks the class with the most observations (ties: larger current
-    slot count, then lower class id), which preserves the bias toward
-    infrequent classes.
+    The trim is that of taking one slot at a time from the class with the
+    most observations (ties: larger current slot count, then lower class
+    id), which preserves the bias toward infrequent classes. Classes of one
+    observation count start with equal slots (equal inverses round up
+    alike), so that order trims level by level, most observed first: a
+    level whose slots fit in the excess is zeroed, and the last one is
+    lowered evenly, its lowest class ids giving one slot more.
     """
     if not observations:
         return {}
@@ -37,11 +41,19 @@ def frequency_aware_quotas(observations: dict[int, int], max_size: int) -> dict[
     total = sum(inv.values())
     slots = {c: math.ceil(inv[c] / total * max_size) for c in classes}
     excess = sum(slots.values()) - max_size
-    while excess > 0:
-        eligible = [c for c in classes if slots[c] > 0]
-        victim = max(eligible, key=lambda c: (observations[c], slots[c], -c))
-        slots[victim] -= 1
-        excess -= 1
+    levels: dict[int, list[int]] = {}
+    for c in classes:
+        levels.setdefault(observations[c], []).append(c)
+    for count in sorted(levels, reverse=True):
+        if excess <= 0:
+            break
+        level = levels[count]
+        height = slots[level[0]]
+        take = min(excess, height * len(level))
+        rounds, extra = divmod(take, len(level))
+        for i, c in enumerate(level):
+            slots[c] = height - rounds - (i < extra)
+        excess -= take
     return slots
 
 
@@ -108,8 +120,12 @@ class ReplayBuffer:
         reservoir policy."""
         return self._quotas
 
-    def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform draw (with replacement) of k stored items."""
+    def sample(
+        self, k: int | tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform draw (with replacement) of stored items; ``k`` is a count
+        or a shape. One draw of shape (n, k) equals n draws of k, values and
+        rng state alike."""
         if self.instances.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         pick = rng.integers(self.instances.size, size=k)

@@ -15,6 +15,7 @@ the stream a strategy sees never depends on the strategy itself.
 import functools
 import json
 import os
+import shutil
 import statistics
 import time
 import traceback
@@ -195,14 +196,18 @@ def run_cell(
     strategy: str,
     seed: int,
     paths: CellPaths,
+    written_manifests: dict[int, Path],
     resume: bool = False,
     stop_after: int | None = None,
 ) -> list[metrics.RunRecord]:
     """Train one (strategy, seed) cell over ``stream``, the seed's stream
     from ``build_stream``.
 
-    ``stop_after`` ends the cell early after the given experience index
-    (used to exercise crash/resume behavior).
+    ``written_manifests`` maps a seed to the manifest file of its stream
+    that the caller's earlier cells wrote: a fresh cell copies that file
+    rather than serialise the manifest again, and records its own when
+    there is none. ``stop_after`` ends the cell early after the given
+    experience index (used to exercise crash/resume behavior).
     """
     digest = cfg.digest()
     policy = cfg.resolve_policy(strategy)
@@ -251,7 +256,7 @@ def run_cell(
             cfg.model.activation,
             derive_rng(seed, "learner-init"),
         )
-        stream.save_manifest(paths.manifest, config_digest=digest)
+        _write_manifest(stream, seed, paths.manifest, digest, written_manifests)
         learner.save_checkpoint(
             learner.snapshot(params, -1, config_digest=digest), paths.checkpoint_file(-1)
         )
@@ -318,6 +323,14 @@ def run_cell(
     return records
 
 
+def _write_manifest(stream, seed, path, digest, written: dict[int, Path]) -> None:
+    if seed in written:
+        shutil.copyfile(written[seed], path)
+    else:
+        stream.save_manifest(path, config_digest=digest)
+        written[seed] = path
+
+
 def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
     counts = buffer.counts()
     quotas = buffer.quotas()
@@ -361,22 +374,28 @@ def run(
         json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n"
     )
 
+    cell = {}  # the (strategy, seed) being run, for the error report
     try:
         stream_for = _stream_per_seed(cfg, train_set)
+        # seed -> manifest written by this call; a file left by an earlier
+        # run (perhaps torn) is never copied
+        written_manifests: dict[int, Path] = {}
         final_by_strategy: dict[str, list[metrics.RunRecord]] = {}
         n_experiences: dict[int, int] = {}
         for strategy in cfg.strategies:
             for seed in cfg.seeds:
+                cell = {"strategy": strategy, "seed": seed}
                 paths = cell_dir(out, strategy, seed)
                 stream = stream_for(seed)
                 n_experiences[seed] = len(stream)
                 records = run_cell(
-                    cfg, train_set, test_set, stream, strategy, seed, paths,
+                    cfg, train_set, test_set, stream, strategy, seed, paths, written_manifests,
                     resume=resume, stop_after=stop_after,
                 )
                 final = records[-1] if records else _final_record_from_csv(paths, strategy, seed)
                 if final is not None:
                     final_by_strategy.setdefault(strategy, []).append(final)
+        cell = {}
         _write_summary(out, cfg, final_by_strategy, n_experiences)
         if stop_after is None and (
             cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
@@ -385,7 +404,7 @@ def run(
     except ConfigError:
         raise
     except Exception as exc:  # runtime failure: structured report, partial outputs marked
-        _write_error_report(out, exc, digest)
+        _write_error_report(out, exc, digest, **cell)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -542,7 +561,12 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     config_path = run_dir / "config.json"
     if not config_path.exists():
         raise ConfigError(f"no config.json in {run_dir}")
-    raw = json.loads(config_path.read_text())
+    try:
+        raw = json.loads(config_path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"unreadable {config_path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{config_path} does not hold a JSON object")
     raw.pop("config_digest", None)
     cfg = ExperimentConfig.from_dict(raw)
     digest = cfg.digest()

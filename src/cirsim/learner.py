@@ -108,10 +108,6 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(z.dtype) if kind == "relu" else 1.0 - a * a
-
-
 def _forward(params: ModelParams, x: np.ndarray):
     """Returns (pre-activations, post-activations incl. input, logits)."""
     a = np.asarray(x, dtype=np.float64)
@@ -195,12 +191,17 @@ def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.int64)
     pre, post, logits = _forward(params, x)
     n = logits.shape[0]
-    probs = softmax(logits)
+    rows = np.arange(n)
+    # softmax in place: the backward pass never reads the logits (pre[-1]),
+    # and these are softmax()'s operations in its order, so bitwise equal
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
     eps = np.finfo(float).tiny
-    loss = float(-np.log(probs[np.arange(n), y] + eps).mean())
+    loss = float(-(np.log(logits[rows, y] + eps).sum() / n))  # what .mean() computes
 
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta = logits  # the probabilities, turned into the output error in place
+    delta[rows, y] -= 1.0
     delta /= n
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -208,9 +209,11 @@ def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray):
         grads_w[i] = post[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * _act_grad(
-                pre[i - 1], post[i], params.activation
-            )
+            delta = delta @ params.weights[i].T
+            if params.activation == "relu":
+                np.multiply(delta, pre[i - 1] > 0, out=delta)
+            else:
+                delta *= 1.0 - post[i] * post[i]
     return loss, grads_w, grads_b
 
 
@@ -245,20 +248,27 @@ def train_on_experience(
         replay_k = min(math.ceil(cfg.replay_mix * cfg.batch_size), cfg.batch_size)
     current_bs = max(cfg.batch_size - replay_k, 1)
 
+    n = x.shape[0]
+    n_batches = -(-n // current_bs)
     for _ in range(cfg.epochs_per_experience):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, order.size, current_bs):
-            batch = order[start : start + current_bs]
-            bx, by = x[batch], y[batch]
+        order = rng.permutation(n)
+        xs, ys = x[order], y[order]
+        if replay_k:
+            # the buffer is fixed during training, so one draw of the whole
+            # epoch's picks gives the values and rng state of one per batch
+            inst, labs = buffer.sample((n_batches, replay_k), rng)
+            replay_x = dataset.features[inst]
+        for b in range(n_batches):
+            bx = xs[b * current_bs : (b + 1) * current_bs]
+            by = ys[b * current_bs : (b + 1) * current_bs]
             if replay_k:
-                inst, labs = buffer.sample(replay_k, rng)
-                bx = np.concatenate([bx, dataset.features[inst]])
-                by = np.concatenate([by, labs])
+                bx = np.concatenate([bx, replay_x[b]])
+                by = np.concatenate([by, labs[b]])
             loss, gw, gb = loss_and_grads(params, bx, by)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} (lr={cfg.lr}, batch={bx.shape[0]}, "
-                    f"experience_size={x.shape[0]})"
+                    f"experience_size={n})"
                 )
             for i in range(len(params.weights)):
                 params.weights[i] -= cfg.lr * gw[i]

@@ -127,7 +127,8 @@ def to_csv_row(record: RunRecord) -> str:
         _fmt(record.infrequent_acc),
         _fmt(record.frequent_acc),
     ]
-    cells.extend(_fmt(v) for v in record.per_class_acc)
+    # plain floats, nan (v != v) left empty: what _fmt does, without its checks
+    cells.extend("" if v != v else f"{v:.6f}" for v in record.per_class_acc.tolist())
     return ",".join(cells) + "\n"
 
 

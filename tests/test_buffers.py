@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cirsim.buffers import (
@@ -141,6 +141,21 @@ def test_fa_quotas_match_brute_force_and_sum_to_capacity(obs, max_size):
 
 
 @given(
+    obs=st.dictionaries(st.integers(0, 59), st.integers(1, 200), min_size=1, max_size=60),
+    max_size=st.integers(1, 1000),
+)
+@example(obs={0: 1, 1: 200}, max_size=10)  # the top level is zeroed: {0: 10, 1: 0}
+@example(obs={0: 1, 1: 2, 2: 2, 3: 2}, max_size=12)  # lowered unevenly: 3 -> 2, 2, 3
+@example(obs={c: 1 + c % 7 for c in range(60)}, max_size=1000)
+@settings(max_examples=200, deadline=None)
+def test_fa_quotas_match_brute_force_at_replay_grid_scale(obs, max_size):
+    # the replay grid's scale: 50 classes, M = 500, up to 200 observations
+    slots = frequency_aware_quotas(obs, max_size)
+    assert slots == _brute_force_quotas(obs, max_size)
+    assert sum(slots.values()) == max_size
+
+
+@given(
     obs=st.dictionaries(st.integers(0, 30), st.integers(1, 50), min_size=2, max_size=12),
     max_size=st.integers(10, 500),
 )
@@ -243,6 +258,32 @@ def test_state_round_trip_mid_stream(policy, max_size, experiences, cut, seed):
                 assert np.array_equal(got, want)
     inst, labs = buf.stored_instances_and_labels()
     assert not inst.flags.writeable and not labs.flags.writeable
+
+
+@given(
+    policy=st.sampled_from(POLICIES),
+    max_size=st.integers(1, 30),
+    labels=st.lists(st.integers(0, 9), min_size=1, max_size=60),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 9)),
+    shuffled=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_sample_of_a_shape_equals_successive_draws(policy, max_size, labels, shape, shuffled, seed):
+    # training draws an epoch's replay picks at once, after the epoch's
+    # permutation; that must equal one draw per mini-batch
+    buf = ReplayBuffer(max_size=max_size, policy=policy)
+    _feed(buf, labels, np.random.default_rng(seed))
+    at_once, per_batch = np.random.default_rng(seed), np.random.default_rng(seed)
+    at_once.permutation(shuffled)
+    per_batch.permutation(shuffled)
+    n_batches, k = shape
+    inst, labs = buf.sample(shape, at_once)
+    draws = [buf.sample(k, per_batch) for _ in range(n_batches)]
+    assert inst.shape == labs.shape == shape
+    assert np.array_equal(inst, np.stack([i for i, _ in draws]))
+    assert np.array_equal(labs, np.stack([lab for _, lab in draws]))
+    assert at_once.bit_generator.state == per_batch.bit_generator.state
 
 
 def test_composition_empty_buffer():

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shutil
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from cirsim import analysis, cli, harness, learner
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
 from cirsim.metrics import parse_csv
+from cirsim.stream import Stream
 
 
 def small_config(out_dir, **updates):
@@ -125,6 +128,63 @@ def test_run_builds_each_seed_stream_once(tmp_path, monkeypatch):
         assert json.loads(a)["config_digest"] == cfg.digest()
 
 
+def _count_manifest_writes(monkeypatch) -> list[Path]:
+    """Patch ``Stream.save_manifest`` to record the path of every call."""
+    paths = []
+    original = Stream.save_manifest
+
+    def counting(self, path, config_digest=None):
+        paths.append(Path(path))
+        return original(self, path, config_digest=config_digest)
+
+    monkeypatch.setattr(Stream, "save_manifest", counting)
+    return paths
+
+
+def _reference_manifest(cfg, seed, path) -> bytes:
+    train_set, _ = harness.load_inputs(cfg)
+    harness.build_stream(cfg, train_set, seed)[0].save_manifest(path, config_digest=cfg.digest())
+    return path.read_bytes()
+
+
+def test_run_serialises_each_seed_manifest_once(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    strategies = ["naive", "er-rs", "er-fa"]
+    cfg = ExperimentConfig.from_dict(small_config(out, strategies=strategies, seeds=[0, 1]))
+    written = _count_manifest_writes(monkeypatch)
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert written == [out / "naive" / f"seed{seed}" / "stream_manifest.json" for seed in (0, 1)]
+    monkeypatch.undo()
+    for seed in (0, 1):
+        expected = _reference_manifest(cfg, seed, tmp_path / f"reference{seed}.json")
+        for strategy in strategies:
+            path = out / strategy / f"seed{seed}" / "stream_manifest.json"
+            assert path.read_bytes() == expected, path
+
+
+def test_resume_never_copies_an_old_manifest(tmp_path, monkeypatch):
+    # a run stopped after its first cell, whose manifest was then torn: the
+    # cells started on resume write their own manifest, not a copy of it
+    out = tmp_path / "out"
+    strategies = ["naive", "er-rs", "er-fa"]
+    cfg = ExperimentConfig.from_dict(small_config(out, strategies=strategies, seeds=[0, 1]))
+    assert harness.run(cfg) == harness.EXIT_OK
+    for strategy in strategies[1:]:
+        shutil.rmtree(out / strategy)
+    for seed in (0, 1):
+        torn = out / "naive" / f"seed{seed}" / "stream_manifest.json"
+        torn.write_bytes(torn.read_bytes()[:60])
+    written = _count_manifest_writes(monkeypatch)
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert written == [out / "er-rs" / f"seed{seed}" / "stream_manifest.json" for seed in (0, 1)]
+    monkeypatch.undo()
+    for seed in (0, 1):
+        expected = _reference_manifest(cfg, seed, tmp_path / f"reference{seed}.json")
+        for strategy in strategies[1:]:
+            path = out / strategy / f"seed{seed}" / "stream_manifest.json"
+            assert path.read_bytes() == expected, path
+
+
 def test_analyze_builds_streams_only_for_interpolation(tmp_path, monkeypatch):
     out = tmp_path / "out"
     raw = small_config(out, seeds=[0, 1], checkpoint_every=3,
@@ -148,6 +208,18 @@ def test_runtime_failure_writes_error_report(tmp_path):
     report = json.loads((out / "error_report.json").read_text())
     assert report["incomplete"] is True
     assert "TrainingDiverged" in report["error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_runtime_failure_report_names_the_cell(tmp_path):
+    out = tmp_path / "out"
+    raw = small_config(out, seeds=[0, 1], train={"lr": 1e9, "epochs_per_experience": 5,
+                                                 "batch_size": 16, "replay_mix": 0.5})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
+    report = json.loads((out / "error_report.json").read_text())
+    assert "TrainingDiverged" in report["error"]
+    assert (report["strategy"], report["seed"]) == ("naive", 0)  # the grid's first cell
+    assert sorted(p.relative_to(out).as_posix() for p in out.glob("*/seed*")) == ["naive/seed0"]
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
@@ -286,6 +358,54 @@ def test_replay_outputs_match_golden_digests(tmp_path):
             assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{rel}"
 
 
+# sha256 of each replay cell's outputs for a grid that exercises the training
+# loop's edge cases: tanh through two hidden layers, an odd replay share
+# (replay_k = 5 of batch 10) and experiences of 36 items, whose last
+# mini-batch holds one; the final state pins the learner's RNG state too
+TRAINING_GOLDEN_DIGESTS = {
+    "er-rs": {
+        "metrics.csv": "9070cc939c7b533269c1ac0fc876e9d8b1727c4eff617311e11df19ef6708161",
+        "buffer_trace.csv": "e0c1d04379751afb2bc9f9d8e4b1cc1fb1413f5a9cb8c4bad695810693fe64a9",
+        "state/state_00007.json": "de195127ed3a80503ac6f5c7d5cc56ede4ef33b24c35493a966ff9e460584137",
+    },
+    "er-cb": {
+        "metrics.csv": "ba59b67116ff6c75b54cea795038edc9f48695189578c2b13fc2c967b6f78bed",
+        "buffer_trace.csv": "08f50e036b1758f97e01271e9c528cf8935f98f397b1eae9723488ca42c72bce",
+        "state/state_00007.json": "67f6fd2816cbf0e71d13704bc1ff5e2c4dce5c9f3ddf036ea6e69ebdc15097fc",
+    },
+    "er-fa": {
+        "metrics.csv": "2b2096572391eb786659b11cd7b2f369b407c266b1cc87cdb6fb2015ecaa52af",
+        "buffer_trace.csv": "5a0f15b05e01eb19ace0055cdb0e131053ebaf941138f5f2657d026f19870570",
+        "state/state_00007.json": "dc8c76200c77829bde6c993297bac7a3fbea4dca8534a5258b7a1dcc41fab79a",
+    },
+}
+
+
+def test_training_loop_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    raw = small_config(
+        out,
+        dataset={"kind": "synthetic", "num_classes": 6, "per_class": 20,
+                 "dim": 5, "spread": 0.7, "test_fraction": 0.25, "seed": 1},
+        generator={"kind": "sampling", "n": 8, "s": 37,
+                   "first_occurrence": {"kind": "geometric", "param": 0.3},
+                   "repetition": {"mode": "constant", "value": 0.4}},
+        strategies=["er-rs", "er-cb", "er-fa"],
+        buffer={"size": 12, "policy": "rs"},
+        train={"lr": 0.1, "epochs_per_experience": 2, "batch_size": 10, "replay_mix": 0.5},
+        model={"hidden": [7, 5], "activation": "tanh"},
+        seeds=[3],
+        checkpoint_every=3,
+    )
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    manifest = json.loads((out / "er-rs" / "seed3" / "stream_manifest.json").read_text())
+    assert any(len(e["instances"]) % 5 for e in manifest["experiences"])  # a ragged batch
+    for strategy, files in TRAINING_GOLDEN_DIGESTS.items():
+        for rel, digest in files.items():
+            data = (out / strategy / "seed3" / rel).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{rel}"
+
+
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     trained = [
@@ -353,6 +473,16 @@ def test_analyze_reports_damaged_checkpoint(tmp_path, capsys, damage):
     assert (report["strategy"], report["seed"]) == ("er-fa", 0)
     assert str(damaged) in report["error"]
     assert "CheckpointError" in report["error"]
+
+
+def test_analyze_torn_config_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=4)
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 0
+    capsys.readouterr()
+    (out / "config.json").write_text('{"schema')  # torn mid-write
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_CONFIG
+    assert f"config error: unreadable {out / 'config.json'}" in capsys.readouterr().err
 
 
 def test_non_finite_csv_feature_exit_2(tmp_path, capsys):
