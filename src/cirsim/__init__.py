@@ -31,6 +31,7 @@ from .learner import (
     restore,
     save_checkpoint,
     snapshot,
+    train_group,
     train_on_experience,
 )
 from .metrics import EvalContext, RunRecord, evaluate

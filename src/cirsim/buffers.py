@@ -106,8 +106,10 @@ class ReplayBuffer:
     # -- views -------------------------------------------------------------
 
     def counts(self) -> dict[int, int]:
-        classes, sizes = np.unique(self.labels, return_counts=True)
-        return dict(zip(classes.tolist(), sizes.tolist()))
+        """Stored items per class, in class order."""
+        sizes = np.bincount(self.labels)
+        classes = np.flatnonzero(sizes)
+        return dict(zip(classes.tolist(), sizes[classes].tolist()))
 
     def total_stored(self) -> int:
         return int(self.labels.size)
@@ -252,16 +254,19 @@ class ReplayBuffer:
         for c in present:
             cap = quotas[c]
             items = store[c]
+            incoming = instances[labels == c]
             seen = self._cb_class_seen.get(c, 0)
-            for inst in instances[labels == c]:
-                seen += 1
-                if len(items) < cap:
-                    items.append(int(inst))
-                elif cap > 0:
-                    slot = int(rng.integers(seen))
-                    if slot < cap:
-                        items[slot] = int(inst)
-            self._cb_class_seen[c] = seen
+            self._cb_class_seen[c] = seen + incoming.size
+            fill = min(cap - len(items), incoming.size)
+            items.extend(incoming[:fill].tolist())
+            if fill < incoming.size and cap > 0:
+                # per-class reservoir, as in _update_rs: the item at class
+                # position t (1-based) claims slot rng[0,t); a slot claimed
+                # twice keeps the later item
+                positions = seen + fill + 1 + np.arange(incoming.size - fill)
+                slots = rng.integers(0, positions)
+                for off in np.flatnonzero(slots < cap):
+                    items[slots[off]] = int(incoming[fill + off])
         self._set_grouped(store)
 
     def _update_fa(self, instances, labels, present, rng) -> None:

@@ -4,6 +4,8 @@ Executes a strategy x seed grid over generated streams, one per run seed
 and shared by every strategy of that seed: per cell it trains the learner
 across all experiences, evaluates after each one, and writes a
 metrics CSV, a buffer trace, the stream manifest and parameter checkpoints.
+Cells run seed by seed and experience by experience; a seed's replay cells
+train in lockstep, as one stacked model, which changes no output byte.
 Metric rows are appended as they are produced (crash-safe), every output
 carries the config digest, and runs are resumable at experience granularity
 from the latest checkpointed state.
@@ -188,20 +190,16 @@ def _truncate_csv(path: Path, max_experience: int) -> None:
         f.writelines(kept)
 
 
-def run_cell(
-    cfg: ExperimentConfig,
-    train_set: LabeledDataset,
-    test_set: LabeledDataset,
-    stream: Stream,
-    strategy: str,
-    seed: int,
-    paths: CellPaths,
-    written_manifests: dict[int, Path],
-    resume: bool = False,
-    stop_after: int | None = None,
-) -> list[metrics.RunRecord]:
-    """Train one (strategy, seed) cell over ``stream``, the seed's stream
-    from ``build_stream``.
+class Cell:
+    """One (strategy, seed) cell, trained over ``stream``, the seed's stream
+    from ``build_stream``, as a step object.
+
+    ``start()`` resumes the cell from its newest good state, or writes its
+    headers, manifest and initial checkpoint, and opens its CSVs. The caller
+    then trains ``params`` on each experience from ``start_index`` on, with
+    ``train_rng`` and ``buffer``, and hands the experience to ``step(exp)``:
+    buffer update, evaluation, CSV rows, and at checkpoint points the
+    checkpoint and state. ``finish()`` closes the CSVs.
 
     ``written_manifests`` maps a seed to the manifest file of its stream
     that the caller's earlier cells wrote: a fresh cell copies that file
@@ -209,26 +207,45 @@ def run_cell(
     there is none. ``stop_after`` ends the cell early after the given
     experience index (used to exercise crash/resume behavior).
     """
-    digest = cfg.digest()
-    policy = cfg.resolve_policy(strategy)
-    n_experiences = len(stream)
-    infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
 
-    paths.root.mkdir(parents=True, exist_ok=True)
-    paths.checkpoints.mkdir(exist_ok=True)
-    paths.states.mkdir(exist_ok=True)
+    def __init__(
+        self,
+        cfg: ExperimentConfig,
+        train_set: LabeledDataset,
+        test_set: LabeledDataset,
+        stream: Stream,
+        strategy: str,
+        seed: int,
+        paths: CellPaths,
+        written_manifests: dict[int, Path],
+        resume: bool = False,
+        stop_after: int | None = None,
+    ):
+        self.cfg, self.train_set, self.test_set, self.stream = cfg, train_set, test_set, stream
+        self.strategy, self.seed, self.paths = strategy, seed, paths
+        self.written_manifests, self.resume, self.stop_after = written_manifests, resume, stop_after
+        self.digest = cfg.digest()
+        self.infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
+        self.last_record: metrics.RunRecord | None = None  # of this call's steps
+        self.done = False
+        self._metrics_csv = self._trace_csv = None
 
-    start_index = 0
-    params = None
-    buffer = ReplayBuffer(max_size=cfg.buffer_size, policy=policy) if policy else None
-    train_rng = derive_rng(seed, "learner")
-    buffer_rng = derive_rng(seed, "buffer")
-    seen: set[int] = set()
+    def start(self) -> None:
+        cfg, paths, seed, digest = self.cfg, self.paths, self.seed, self.digest
+        policy = cfg.resolve_policy(self.strategy)
+        paths.root.mkdir(parents=True, exist_ok=True)
+        paths.checkpoints.mkdir(exist_ok=True)
+        paths.states.mkdir(exist_ok=True)
 
-    if resume:
-        point = _load_resume_point(paths)
+        self.start_index = 0
+        self.buffer = ReplayBuffer(max_size=cfg.buffer_size, policy=policy) if policy else None
+        self.train_rng = derive_rng(seed, "learner")
+        self.buffer_rng = derive_rng(seed, "buffer")
+        self.seen: set[int] = set()
+
+        point = _load_resume_point(paths) if self.resume else None
         if point is not None:
-            latest, state, params = point
+            latest, state, self.params = point
             if state.get("state_version") != STATE_VERSION:
                 raise ConfigError(
                     f"resume state has state_version {state.get('state_version')}, "
@@ -240,87 +257,164 @@ def run_cell(
                     f"(digest {state['config_digest']} != {digest})"
                 )
             if state["buffer"] is not None:
-                buffer = ReplayBuffer.from_state(state["buffer"])
-            train_rng = _restore_rng(state["train_rng"])
-            buffer_rng = _restore_rng(state["buffer_rng"])
-            seen = set(state["seen_classes"])
-            start_index = state["next_experience"]
+                self.buffer = ReplayBuffer.from_state(state["buffer"])
+            self.train_rng = _restore_rng(state["train_rng"])
+            self.buffer_rng = _restore_rng(state["buffer_rng"])
+            self.seen = set(state["seen_classes"])
+            self.start_index = state["next_experience"]
             _truncate_csv(paths.metrics_csv, latest)
             _truncate_csv(paths.buffer_trace_csv, latest)
+            self._open_csvs("a")
+            return
 
-    if params is None:
-        params = learner.init_params(
-            train_set.dim,
+        self.params = learner.init_params(
+            self.train_set.dim,
             cfg.model.hidden,
-            train_set.num_classes,
+            self.train_set.num_classes,
             cfg.model.activation,
             derive_rng(seed, "learner-init"),
         )
-        _write_manifest(stream, seed, paths.manifest, digest, written_manifests)
+        _write_manifest(self.stream, seed, paths.manifest, digest, self.written_manifests)
         learner.save_checkpoint(
-            learner.snapshot(params, -1, config_digest=digest), paths.checkpoint_file(-1)
+            learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
         )
-        _write_csv_header(paths.metrics_csv, digest, metrics.csv_header(train_set.num_classes))
-        if buffer is not None:
-            _write_csv_header(
-                paths.buffer_trace_csv,
-                digest,
+        self._open_csvs("w")
+        _write_flushed(
+            self._metrics_csv,
+            f"# config_digest={digest}\n" + metrics.csv_header(self.train_set.num_classes),
+        )
+        if self.buffer is not None:
+            _write_flushed(
+                self._trace_csv,
+                f"# config_digest={digest}\n"
                 "experience_index,class_id,stored_count,observation_count,quota\n",
             )
 
-    records: list[metrics.RunRecord] = []
-    for exp in stream:
-        if exp.index < start_index:
-            continue
-        x = train_set.features[exp.train_instances]
-        y = train_set.labels[exp.train_instances]
-        if len(exp) > 0:
-            learner.train_on_experience(
-                params, x, y, cfg.train, train_rng, buffer=buffer, dataset=train_set
-            )
-        if buffer is not None:
-            buffer.update(exp.train_instances, y, buffer_rng)
-        seen |= exp.present_classes
+    def _open_csvs(self, mode: str) -> None:
+        self._metrics_csv = open(self.paths.metrics_csv, mode, encoding="utf-8")
+        if self.buffer is not None:
+            self._trace_csv = open(self.paths.buffer_trace_csv, mode, encoding="utf-8")
+
+    def step(self, exp) -> None:
+        """Record experience ``exp``, which the caller has trained ``params`` on."""
+        cfg, digest = self.cfg, self.digest
+        if self.buffer is not None:
+            labels = self.train_set.labels[exp.train_instances]
+            self.buffer.update(exp.train_instances, labels, self.buffer_rng)
+        self.seen |= exp.present_classes
 
         ctx = metrics.EvalContext(
-            seen_classes=frozenset(seen),
+            seen_classes=frozenset(self.seen),
             present_classes=exp.present_classes,
-            infrequent_classes=infrequent,
+            infrequent_classes=self.infrequent,
         )
         record = metrics.evaluate(
-            params, test_set, ctx, experience_index=exp.index, strategy=strategy, seed=seed
+            self.params, self.test_set, ctx,
+            experience_index=exp.index, strategy=self.strategy, seed=self.seed,
         )
-        records.append(record)
-        _append(paths.metrics_csv, metrics.to_csv_row(record))
-        if buffer is not None:
-            _append(paths.buffer_trace_csv, _trace_rows(buffer, exp.index))
+        self.last_record = record
+        _write_flushed(self._metrics_csv, metrics.to_csv_row(record))
+        if self.buffer is not None:
+            _write_flushed(self._trace_csv, _trace_rows(self.buffer, exp.index))
 
-        is_last = exp.index == n_experiences - 1
+        is_last = exp.index == len(self.stream) - 1
         at_interval = cfg.checkpoint_every > 0 and (exp.index + 1) % cfg.checkpoint_every == 0
-        stopping = stop_after is not None and exp.index >= stop_after
+        stopping = self.stop_after is not None and exp.index >= self.stop_after
         if is_last or at_interval or stopping:
+            paths = self.paths
             learner.save_checkpoint(
-                learner.snapshot(params, exp.index, config_digest=digest),
+                learner.snapshot(self.params, exp.index, config_digest=digest),
                 paths.checkpoint_file(exp.index),
             )
             state = {
                 "state_version": STATE_VERSION,
                 "config_digest": digest,
-                "strategy": strategy,
-                "seed": seed,
+                "strategy": self.strategy,
+                "seed": self.seed,
                 "next_experience": exp.index + 1,
-                "seen_classes": sorted(seen),
-                "train_rng": _rng_state(train_rng),
-                "buffer_rng": _rng_state(buffer_rng),
-                "buffer": None if buffer is None else buffer.to_state(),
+                "seen_classes": sorted(self.seen),
+                "train_rng": _rng_state(self.train_rng),
+                "buffer_rng": _rng_state(self.buffer_rng),
+                "buffer": None if self.buffer is None else self.buffer.to_state(),
             }
             # write aside, then rename: a crash leaves the old state or the new
             tmp = paths.states / "state.json.tmp"
             tmp.write_text(json.dumps(state))
             os.replace(tmp, paths.state_file(exp.index))
-        if stopping:
-            break
-    return records
+        self.done = is_last or stopping
+
+    def finish(self) -> None:
+        for f in (self._metrics_csv, self._trace_csv):
+            if f is not None:
+                f.close()
+        self._metrics_csv = self._trace_csv = None
+
+
+def run_group(cells: list[Cell], running: dict) -> None:
+    """Run one seed's cells experience by experience.
+
+    At each experience, the cells that stand at the same ``start_index``
+    and draw the same replay rows train as one stacked model
+    (``learner.train_group``); a cell with no such partner trains alone.
+    ``running`` is kept naming the (strategy, seed) at work, for the error
+    report: a diverged model names its own cell. Every cell's files are
+    closed on the way out, also on an error.
+    """
+    stream, cfg, train_set = cells[0].stream, cells[0].cfg, cells[0].train_set
+    try:
+        for cell in cells:
+            running.update(strategy=cell.strategy, seed=cell.seed)
+            cell.start()
+        for exp in stream:
+            active = [c for c in cells if not c.done and c.start_index <= exp.index]
+            if active and len(exp) > 0:
+                x = train_set.features[exp.train_instances]
+                y = train_set.labels[exp.train_instances]
+                groups: dict[tuple[int, int], list[Cell]] = {}
+                for cell in active:
+                    key = (cell.start_index, learner.replay_rows(cfg.train, cell.buffer))
+                    groups.setdefault(key, []).append(cell)
+                for group in groups.values():
+                    running.update(strategy=group[0].strategy, seed=group[0].seed)
+                    try:
+                        learner.train_group(
+                            [c.params for c in group], x, y, cfg.train,
+                            [c.train_rng for c in group], [c.buffer for c in group],
+                            dataset=train_set,
+                        )
+                    except learner.TrainingDivergedError as exc:
+                        culprit = group[exc.member]
+                        running.update(strategy=culprit.strategy, seed=culprit.seed)
+                        raise
+            for cell in active:
+                running.update(strategy=cell.strategy, seed=cell.seed)
+                cell.step(exp)
+    finally:
+        for cell in cells:
+            cell.finish()
+
+
+def run_cell(
+    cfg: ExperimentConfig,
+    train_set: LabeledDataset,
+    test_set: LabeledDataset,
+    stream: Stream,
+    strategy: str,
+    seed: int,
+    paths: CellPaths,
+    written_manifests: dict[int, Path],
+    resume: bool = False,
+    stop_after: int | None = None,
+) -> metrics.RunRecord | None:
+    """Run one (strategy, seed) cell on its own, a group of one (see
+    ``Cell`` for the arguments); returns the record of the last experience
+    it ran, None when it ran none."""
+    cell = Cell(
+        cfg, train_set, test_set, stream, strategy, seed, paths, written_manifests,
+        resume=resume, stop_after=stop_after,
+    )
+    run_group([cell], {})
+    return cell.last_record
 
 
 def _write_manifest(stream, seed, path, digest, written: dict[int, Path]) -> None:
@@ -329,6 +423,11 @@ def _write_manifest(stream, seed, path, digest, written: dict[int, Path]) -> Non
     else:
         stream.save_manifest(path, config_digest=digest)
         written[seed] = path
+
+
+def _write_flushed(f, text: str) -> None:
+    f.write(text)
+    f.flush()
 
 
 def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
@@ -341,18 +440,6 @@ def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
             f"{experience_index},{c},{counts.get(c, 0)},{buffer.observations[c]},{quota}\n"
         )
     return "".join(rows)
-
-
-def _write_csv_header(path: Path, digest: str, header: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# config_digest={digest}\n")
-        f.write(header)
-
-
-def _append(path: Path, text: str) -> None:
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(text)
-        f.flush()
 
 
 # -- grid run -------------------------------------------------------------------
@@ -374,28 +461,37 @@ def run(
         json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n"
     )
 
-    cell = {}  # the (strategy, seed) being run, for the error report
+    running = {}  # the (strategy, seed) being run, for the error report
     try:
         stream_for = _stream_per_seed(cfg, train_set)
         # seed -> manifest written by this call; a file left by an earlier
         # run (perhaps torn) is never copied
         written_manifests: dict[int, Path] = {}
-        final_by_strategy: dict[str, list[metrics.RunRecord]] = {}
+        finals: dict[tuple[str, int], metrics.RunRecord] = {}
         n_experiences: dict[int, int] = {}
+        for seed in cfg.seeds:
+            stream = stream_for(seed)
+            n_experiences[seed] = len(stream)
+            for strategies in _lockstep_groups(cfg.strategies):
+                cells = [
+                    Cell(
+                        cfg, train_set, test_set, stream, strategy, seed,
+                        cell_dir(out, strategy, seed), written_manifests,
+                        resume=resume, stop_after=stop_after,
+                    )
+                    for strategy in strategies
+                ]
+                run_group(cells, running)
+                for c in cells:
+                    final = c.last_record or _final_record_from_csv(c.paths, c.strategy, seed)
+                    if final is not None:
+                        finals[c.strategy, seed] = final
+        final_by_strategy: dict[str, list[metrics.RunRecord]] = {}
         for strategy in cfg.strategies:
             for seed in cfg.seeds:
-                cell = {"strategy": strategy, "seed": seed}
-                paths = cell_dir(out, strategy, seed)
-                stream = stream_for(seed)
-                n_experiences[seed] = len(stream)
-                records = run_cell(
-                    cfg, train_set, test_set, stream, strategy, seed, paths, written_manifests,
-                    resume=resume, stop_after=stop_after,
-                )
-                final = records[-1] if records else _final_record_from_csv(paths, strategy, seed)
-                if final is not None:
-                    final_by_strategy.setdefault(strategy, []).append(final)
-        cell = {}
+                if (strategy, seed) in finals:
+                    final_by_strategy.setdefault(strategy, []).append(finals[strategy, seed])
+        running.clear()
         _write_summary(out, cfg, final_by_strategy, n_experiences)
         if stop_after is None and (
             cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
@@ -404,9 +500,24 @@ def run(
     except ConfigError:
         raise
     except Exception as exc:  # runtime failure: structured report, partial outputs marked
-        _write_error_report(out, exc, digest, **cell)
+        _write_error_report(out, exc, digest, **running)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _lockstep_groups(strategies) -> list[list[str]]:
+    """The strategies in order, each alone except the replay (``er*``)
+    strategies, which form one group in the place of the first of them:
+    they share the seed's stream and so its mini-batch shapes."""
+    groups, replay = [], []
+    for strategy in strategies:
+        if not strategy.startswith("er"):
+            groups.append([strategy])
+        else:
+            if not replay:
+                groups.append(replay)
+            replay.append(strategy)
+    return groups
 
 
 def _write_error_report(out: Path, exc: Exception, digest: str, **cell) -> None:

@@ -24,7 +24,12 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
-    pass
+    """A non-finite training loss; ``member`` is the diverged model's index
+    in its ``train_group`` group (0 for a model trained alone)."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 class CheckpointError(ValueError):
@@ -109,14 +114,17 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward(params: ModelParams, x: np.ndarray):
-    """Returns (pre-activations, post-activations incl. input, logits)."""
+    """Returns (pre-activations, post-activations incl. input, logits).
+
+    Stacked parameters, weights (S, fan_in, fan_out) and biases (S, fan_out),
+    run S models at once on an (S, n, d) input."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
     pre, post = [], [a]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = post[-1] @ w
-        z += b  # in place: the same additions, without a second logits-sized array
+        z += b[..., None, :]  # in place: the same additions, without a second logits-sized array
         pre.append(z)
         if i < len(params.weights) - 1:
             post.append(_act(z, params.activation))
@@ -187,29 +195,37 @@ def activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
 
 
 def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
+    """Mean cross-entropy and its gradients w.r.t. every weight and bias.
+
+    With stacked parameters (see ``_forward``), an (S, n, d) input and (S, n)
+    labels, the loss is an array of S losses and every gradient has a leading
+    axis of S; each model's slice equals its own 2-D call bit for bit.
+    """
     y = np.asarray(y, dtype=np.int64)
     pre, post, logits = _forward(params, x)
-    n = logits.shape[0]
-    rows = np.arange(n)
+    n = logits.shape[-2]
     # softmax in place: the backward pass never reads the logits (pre[-1]),
     # and these are softmax()'s operations in its order, so bitwise equal
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    # the true-class entries through a flat (rows, C) view, which for a 2-D
+    # input is the probability matrix itself
+    flat = logits.reshape(-1, logits.shape[-1])
+    rows, cols = np.arange(flat.shape[0]), y.reshape(-1)
     eps = np.finfo(float).tiny
-    loss = float(-(np.log(logits[rows, y] + eps).sum() / n))  # what .mean() computes
+    loss = -(np.log(flat[rows, cols] + eps).reshape(y.shape).sum(axis=-1) / n)  # .mean()'s sum
 
     delta = logits  # the probabilities, turned into the output error in place
-    delta[rows, y] -= 1.0
+    flat[rows, cols] -= 1.0
     delta /= n
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = post[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = post[i].swapaxes(-1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ params.weights[i].T
+            delta = delta @ params.weights[i].swapaxes(-1, -2)
             if params.activation == "relu":
                 np.multiply(delta, pre[i - 1] > 0, out=delta)
             else:
@@ -222,6 +238,14 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float((labels == np.asarray(y)).mean())
 
 
+def replay_rows(cfg: TrainConfig, buffer) -> int:
+    """Rehearsal rows in each mini-batch: ceil(replay_mix * batch_size) with
+    a non-empty buffer, else 0."""
+    if buffer is None or buffer.total_stored() == 0:
+        return 0
+    return min(math.ceil(cfg.replay_mix * cfg.batch_size), cfg.batch_size)
+
+
 def train_on_experience(
     params: ModelParams,
     x: np.ndarray,
@@ -232,48 +256,89 @@ def train_on_experience(
     dataset=None,
 ) -> ModelParams:
     """SGD over one experience; with a buffer, every mini-batch mixes in
-    ceil(replay_mix * batch_size) rehearsal samples. The buffer itself is
-    not modified here (storage updates happen once per experience, after
-    training)."""
+    ``replay_rows`` rehearsal samples. The buffer itself is not modified here
+    (storage updates happen once per experience, after training)."""
+    train_group([params], x, y, cfg, [rng], [buffer], dataset)
+    return params
+
+
+def train_group(
+    models: list[ModelParams],
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+    rngs: list[np.random.Generator],
+    buffers: list,
+    dataset=None,
+) -> None:
+    """``train_on_experience`` for S models of one shape on the same
+    experience, each with its own rng and buffer (None for naive), which
+    must agree on ``replay_rows``.
+
+    Each model draws as it would alone: per epoch its permutation, then one
+    replay draw of the whole epoch's picks (the buffer is fixed during
+    training, so that equals one draw per mini-batch). Two or more models
+    then take every SGD step as one stacked model, which leaves each bitwise
+    equal to its own run; a single model trains on plain 2-D arrays. A
+    non-finite loss raises ``TrainingDivergedError`` naming the model.
+    """
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("experience data must be nonempty")
-    if buffer is not None and dataset is None:
+    if dataset is None and any(buf is not None for buf in buffers):
         raise ValueError("replay training needs the source dataset for feature lookup")
-
-    replay_k = 0
-    if buffer is not None and buffer.total_stored() > 0:
-        replay_k = min(math.ceil(cfg.replay_mix * cfg.batch_size), cfg.batch_size)
+    ks = {replay_rows(cfg, buf) for buf in buffers}
+    if len(ks) != 1:
+        raise ValueError(f"models of one group draw different replay rows {sorted(ks)}")
+    replay_k = ks.pop()
     current_bs = max(cfg.batch_size - replay_k, 1)
 
+    s = len(models)
+    params = models[0] if s == 1 else ModelParams(
+        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
+        activation=models[0].activation,
+    )
     n = x.shape[0]
     n_batches = -(-n // current_bs)
+    lead = slice(None) if s > 1 else 0  # keep the stack axis, or drop it
     for _ in range(cfg.epochs_per_experience):
-        order = rng.permutation(n)
+        orders, picks = [], []
+        for rng, buf in zip(rngs, buffers):
+            orders.append(rng.permutation(n))
+            if replay_k:
+                picks.append(buf.sample((n_batches, replay_k), rng))
+        order = np.stack(orders)[lead]
         xs, ys = x[order], y[order]
         if replay_k:
-            # the buffer is fixed during training, so one draw of the whole
-            # epoch's picks gives the values and rng state of one per batch
-            inst, labs = buffer.sample((n_batches, replay_k), rng)
+            inst, labs = (np.stack(drawn)[lead] for drawn in zip(*picks))
             replay_x = dataset.features[inst]
         for b in range(n_batches):
-            bx = xs[b * current_bs : (b + 1) * current_bs]
-            by = ys[b * current_bs : (b + 1) * current_bs]
+            bx = xs[..., b * current_bs : (b + 1) * current_bs, :]
+            by = ys[..., b * current_bs : (b + 1) * current_bs]
             if replay_k:
-                bx = np.concatenate([bx, replay_x[b]])
-                by = np.concatenate([by, labs[b]])
+                bx = np.concatenate([bx, replay_x[..., b, :, :]], axis=-2)
+                by = np.concatenate([by, labs[..., b, :]], axis=-1)
             loss, gw, gb = loss_and_grads(params, bx, by)
-            if not math.isfinite(loss):
+            # each loss is at most -log(tiny), so only a non-finite one
+            # makes the sum non-finite
+            if not math.isfinite(loss if s == 1 else loss.sum()):
+                losses = np.atleast_1d(loss)
+                member = int(np.flatnonzero(~np.isfinite(losses))[0])
                 raise TrainingDivergedError(
-                    f"non-finite loss {loss} (lr={cfg.lr}, batch={bx.shape[0]}, "
-                    f"experience_size={n})"
+                    f"non-finite loss {losses[member]} (lr={cfg.lr}, "
+                    f"batch={bx.shape[-2]}, experience_size={n}, model {member} of {s})",
+                    member,
                 )
             for i in range(len(params.weights)):
                 params.weights[i] -= cfg.lr * gw[i]
                 params.biases[i] -= cfg.lr * gb[i]
-    return params
+    if s > 1:
+        for k, model in enumerate(models):
+            for mine, stacked in zip(model.weights + model.biases, params.weights + params.biases):
+                mine[...] = stacked[k]
 
 
 # -- checkpoints ------------------------------------------------------------

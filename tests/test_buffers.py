@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -253,6 +254,7 @@ def test_state_round_trip_mid_stream(policy, max_size, experiences, cut, seed):
         assert json.dumps(restored.to_state()) == json.dumps(buf.to_state())
         assert restored.quotas() == buf.quotas()
         assert restored.counts() == buf.counts()
+        assert list(buf.counts().items()) == sorted(Counter(buf.labels.tolist()).items())
         if buf.total_stored():
             for got, want in zip(restored.sample(7, rng_restored), buf.sample(7, rng)):
                 assert np.array_equal(got, want)

@@ -318,6 +318,99 @@ def test_resume_skips_torn_newest_state_or_checkpoint(tmp_path):
             assert (resumed / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes(), rel
 
 
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _spy_group_sizes(monkeypatch) -> list[int]:
+    sizes = []
+    train_group = learner.train_group
+
+    def spy(models, *args, **kwargs):
+        sizes.append(len(models))
+        return train_group(models, *args, **kwargs)
+
+    monkeypatch.setattr(learner, "train_group", spy)
+    return sizes
+
+
+REPLAY_TRIO = ["er-rs", "er-cb", "er-fa"]
+
+
+def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
+    raw = small_config(tmp_path / "grid", strategies=REPLAY_TRIO, seeds=[0, 1],
+                       checkpoint_every=3)
+    cfg = ExperimentConfig.from_dict(raw)
+    sizes = _spy_group_sizes(monkeypatch)
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert 3 in sizes  # the trio trained stacked
+    train_set, test_set = harness.load_inputs(cfg)
+    for seed in cfg.seeds:
+        stream, _ = harness.build_stream(cfg, train_set, seed)
+        for strategy in REPLAY_TRIO:
+            sizes.clear()
+            paths = harness.cell_dir(tmp_path / "alone", strategy, seed)
+            last = harness.run_cell(cfg, train_set, test_set, stream, strategy, seed, paths, {})
+            assert set(sizes) == {1} and last.experience_index == len(stream) - 1
+            grouped = _tree_bytes(harness.cell_dir(tmp_path / "grid", strategy, seed).root)
+            assert _tree_bytes(paths.root) == grouped
+
+
+def test_resume_of_a_group_standing_at_different_points(tmp_path, monkeypatch):
+    raw = small_config(tmp_path / "full", checkpoint_every=2, strategies=REPLAY_TRIO, seeds=[0])
+    cfg = ExperimentConfig.from_dict(raw)
+    assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
+    resumed = tmp_path / "resumed"
+    assert harness.run(cfg, out_dir=resumed, stop_after=5) == harness.EXIT_OK
+    # er-cb falls back to its state after experience 3, the others resume at 6
+    (resumed / "er-cb" / "seed0" / "state" / "state_00005.json").unlink()
+    sizes = _spy_group_sizes(monkeypatch)
+    assert harness.run(cfg, out_dir=resumed, resume=True) == harness.EXIT_OK
+    assert sizes == [1, 1, 2, 1, 2, 1]  # er-cb alone at 4-5, then a pair and er-cb
+    for strategy in REPLAY_TRIO:
+        for name in ("metrics.csv", "buffer_trace.csv", "state/state_00007.json",
+                     "checkpoints/ckpt_00007.npz"):
+            rel = f"{strategy}/seed0/{name}"
+            assert (resumed / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes(), rel
+
+
+def test_cell_step_puts_its_rows_on_disk(tmp_path):
+    # a crash after step() must find the experience's rows in both CSVs
+    cfg = ExperimentConfig.from_dict(small_config(tmp_path / "out", strategies=["er-rs"], seeds=[0]))
+    train_set, test_set = harness.load_inputs(cfg)
+    stream, _ = harness.build_stream(cfg, train_set, 0)
+    paths = harness.cell_dir(tmp_path / "out", "er-rs", 0)
+    cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, {})
+    cell.start()
+    try:
+        for exp in stream.experiences[:3]:
+            cell.step(exp)
+            for csv in (paths.metrics_csv, paths.buffer_trace_csv):
+                assert csv.read_text().splitlines()[-1].startswith(f"{exp.index},")
+    finally:
+        cell.finish()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_group_member_is_named(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["er-rs", "er-cb"], seeds=[0],
+                       train={"lr": 1e9, "epochs_per_experience": 5,
+                              "batch_size": 16, "replay_mix": 0.5})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
+    report = json.loads((out / "error_report.json").read_text())
+    assert "TrainingDiverged" in report["error"]
+    assert (report["strategy"], report["seed"]) == ("er-rs", 0)
+
+    def last_member_diverges(models, *args, **kwargs):
+        raise learner.TrainingDivergedError("non-finite loss", member=len(models) - 1)
+
+    monkeypatch.setattr(learner, "train_group", last_member_diverges)
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"]) == ("er-cb", 0)
+
+
 # sha256 of each replay cell's outputs for a tiny grid whose buffer (M=5) is
 # smaller than its label space (C=8): any change to the results, the buffer's
 # RNG draw order or the resume-state bytes shows here
@@ -591,7 +684,7 @@ class TestCli:
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(learner, "train_on_experience", no_training)
+        monkeypatch.setattr(learner, "train_group", no_training)
         assert cli.main(["run", str(path)]) == 2
         assert "N*K=4 < C=5" in capsys.readouterr().err
         assert not list((tmp_path / "out").rglob("metrics.csv"))

@@ -22,6 +22,7 @@ from cirsim.learner import (
     restore,
     save_checkpoint,
     snapshot,
+    train_group,
     train_on_experience,
 )
 from cirsim.slot_generator import SlotConfig, generate_slot_stream
@@ -160,6 +161,100 @@ def test_predict_labels_equals_softmax_argmax(logits, one_d):
             got = predict_labels(params, features)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
+
+
+def _stack(models):
+    return ModelParams(
+        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
+        activation=models[0].activation,
+    )
+
+
+@given(
+    activation=st.sampled_from(["relu", "tanh"]),
+    hidden=st.lists(st.integers(1, 64), max_size=2),
+    dims=st.tuples(st.integers(1, 20), st.integers(2, 60)),
+    n_models=st.integers(1, 4),
+    rows=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_stacked_step_equals_per_model_steps_bitwise(activation, hidden, dims, n_models, rows, seed):
+    # stacked loss, gradients and SGD update of S models: each model's slice
+    # equals its own 2-D call exactly, so lockstep training changes no byte
+    rng = np.random.default_rng(seed)
+    d, c = dims
+    models = [init_params(d, tuple(hidden), c, activation, rng) for _ in range(n_models)]
+    for m in models:
+        for b in m.biases:
+            b += rng.normal(size=b.shape)
+    x = rng.normal(size=(n_models, rows, d))
+    y = rng.integers(0, c, size=(n_models, rows))
+    stacked = _stack(models)
+    losses, gws, gbs = loss_and_grads(stacked, x, y)
+    assert losses.shape == (n_models,)
+    for i in range(len(stacked.weights)):
+        stacked.weights[i] -= 0.3 * gws[i]
+        stacked.biases[i] -= 0.3 * gbs[i]
+    for k, m in enumerate(models):
+        loss, gw, gb = loss_and_grads(m, x[k], y[k])
+        assert isinstance(loss, float) and loss == losses[k]
+        for i in range(len(m.weights)):
+            assert np.array_equal(gw[i], gws[i][k]) and np.array_equal(gb[i], gbs[i][k])
+            m.weights[i] -= 0.3 * gw[i]
+            m.biases[i] -= 0.3 * gb[i]
+            assert np.array_equal(m.weights[i], stacked.weights[i][k])
+            assert np.array_equal(m.biases[i], stacked.biases[i][k])
+
+
+@pytest.mark.parametrize("activation,hidden", [("relu", (9,)), ("tanh", (7, 5))])
+def test_train_group_equals_each_model_alone(activation, hidden):
+    train, _ = make_synthetic_dataset(6, 20, 5, 0.5, np.random.default_rng(3))
+    cfg = TrainConfig(lr=0.1, epochs_per_experience=2, batch_size=10, replay_mix=0.5)
+    x, y = train.features[:37], train.labels[:37]  # a ragged last mini-batch
+
+    def members():
+        out = []
+        for k, policy in enumerate(["rs", "cb", "fa"]):
+            buf = ReplayBuffer(max_size=12, policy=policy)
+            buf.update(np.arange(40, 60), train.labels[40:60], np.random.default_rng(k))
+            params = init_params(5, hidden, 6, activation, np.random.default_rng(10 + k))
+            out.append((params, np.random.default_rng(20 + k), buf))
+        return out
+
+    together, alone = members(), members()
+    train_group([p for p, _, _ in together], x, y, cfg,
+                [r for _, r, _ in together], [b for _, _, b in together], dataset=train)
+    for (p, rng, buf), (p_in, rng_in, _) in zip(alone, together):
+        train_on_experience(p, x, y, cfg, rng, buffer=buf, dataset=train)
+        assert rng.bit_generator.state == rng_in.bit_generator.state
+        for a, b in zip(p.weights + p.biases, p_in.weights + p_in.biases):
+            assert np.array_equal(a, b)
+
+
+def test_train_group_refuses_mixed_replay_rows():
+    train, _ = make_synthetic_dataset(3, 10, 4, 0.5, np.random.default_rng(0))
+    full = ReplayBuffer(max_size=5, policy="rs")
+    full.update(np.arange(5), train.labels[:5], np.random.default_rng(0))
+    models = [init_params(4, (), 3, "relu", np.random.default_rng(k)) for k in range(2)]
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    empty = ReplayBuffer(max_size=5, policy="rs")
+    with pytest.raises(ValueError, match="replay rows"):
+        train_group(models, train.features, train.labels, TrainConfig(), rngs,
+                    [full, empty], dataset=train)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_group_divergence_names_the_model():
+    rng = np.random.default_rng(13)
+    x, y = rng.normal(size=(30, 4)), rng.integers(0, 3, size=30)
+    models = [init_params(4, (8,), 3, "relu", np.random.default_rng(k)) for k in range(3)]
+    models[1].biases[-1][0] = np.inf  # only the middle model's loss is not finite
+    with pytest.raises(TrainingDivergedError, match="model 1 of 3") as info:
+        train_group(models, x, y, TrainConfig(), [np.random.default_rng(k) for k in range(3)],
+                    [None] * 3)
+    assert info.value.member == 1
 
 
 def test_forward_leaves_parameters_unchanged():
