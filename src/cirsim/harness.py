@@ -17,7 +17,6 @@ the stream a strategy sees never depends on the strategy itself.
 import functools
 import json
 import os
-import shutil
 import statistics
 import time
 import traceback
@@ -83,11 +82,6 @@ def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int):
     samp_cfg = cfg.generator.sampling_config(dataset.num_classes, seed)
     occurrence = build_occurrence_matrix(samp_cfg, rng)
     return realize_stream(dataset, occurrence, samp_cfg, rng), occurrence
-
-
-def _stream_per_seed(cfg: ExperimentConfig, dataset: LabeledDataset):
-    """seed -> that run seed's stream, built on first use and then shared."""
-    return functools.cache(lambda seed: build_stream(cfg, dataset, seed)[0])
 
 
 def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None:
@@ -195,17 +189,15 @@ class Cell:
     from ``build_stream``, as a step object.
 
     ``start()`` resumes the cell from its newest good state, or writes its
-    headers, manifest and initial checkpoint, and opens its CSVs. The caller
+    headers and initial checkpoint; either way it writes ``manifest``, the
+    text of the stream's manifest, and opens its CSVs. The caller
     then trains ``params`` on each experience from ``start_index`` on, with
     ``train_rng`` and ``buffer``, and hands the experience to ``step(exp)``:
     buffer update, evaluation, CSV rows, and at checkpoint points the
     checkpoint and state. ``finish()`` closes the CSVs.
 
-    ``written_manifests`` maps a seed to the manifest file of its stream
-    that the caller's earlier cells wrote: a fresh cell copies that file
-    rather than serialise the manifest again, and records its own when
-    there is none. ``stop_after`` ends the cell early after the given
-    experience index (used to exercise crash/resume behavior).
+    ``stop_after`` ends the cell early after the given experience index
+    (used to exercise crash/resume behavior).
     """
 
     def __init__(
@@ -217,13 +209,13 @@ class Cell:
         strategy: str,
         seed: int,
         paths: CellPaths,
-        written_manifests: dict[int, Path],
+        manifest: str,
         resume: bool = False,
         stop_after: int | None = None,
     ):
         self.cfg, self.train_set, self.test_set, self.stream = cfg, train_set, test_set, stream
         self.strategy, self.seed, self.paths = strategy, seed, paths
-        self.written_manifests, self.resume, self.stop_after = written_manifests, resume, stop_after
+        self.manifest, self.resume, self.stop_after = manifest, resume, stop_after
         self.digest = cfg.digest()
         self.infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
         self.last_record: metrics.RunRecord | None = None  # of this call's steps
@@ -256,6 +248,8 @@ class Cell:
                     "resume state was produced by a different config "
                     f"(digest {state['config_digest']} != {digest})"
                 )
+            _check_dataset_unchanged(paths.manifest, self.stream.dataset_ref)
+            _write_atomic(paths.manifest, self.manifest)
             if state["buffer"] is not None:
                 self.buffer = ReplayBuffer.from_state(state["buffer"])
             self.train_rng = _restore_rng(state["train_rng"])
@@ -274,7 +268,7 @@ class Cell:
             cfg.model.activation,
             derive_rng(seed, "learner-init"),
         )
-        _write_manifest(self.stream, seed, paths.manifest, digest, self.written_manifests)
+        _write_atomic(paths.manifest, self.manifest)
         learner.save_checkpoint(
             learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
         )
@@ -337,10 +331,7 @@ class Cell:
                 "buffer_rng": _rng_state(self.buffer_rng),
                 "buffer": None if self.buffer is None else self.buffer.to_state(),
             }
-            # write aside, then rename: a crash leaves the old state or the new
-            tmp = paths.states / "state.json.tmp"
-            tmp.write_text(json.dumps(state))
-            os.replace(tmp, paths.state_file(exp.index))
+            _write_atomic(paths.state_file(exp.index), json.dumps(state))
         self.done = is_last or stopping
 
     def finish(self) -> None:
@@ -402,7 +393,6 @@ def run_cell(
     strategy: str,
     seed: int,
     paths: CellPaths,
-    written_manifests: dict[int, Path],
     resume: bool = False,
     stop_after: int | None = None,
 ) -> metrics.RunRecord | None:
@@ -410,19 +400,34 @@ def run_cell(
     ``Cell`` for the arguments); returns the record of the last experience
     it ran, None when it ran none."""
     cell = Cell(
-        cfg, train_set, test_set, stream, strategy, seed, paths, written_manifests,
-        resume=resume, stop_after=stop_after,
+        cfg, train_set, test_set, stream, strategy, seed, paths,
+        stream.manifest_text(cfg.digest()), resume=resume, stop_after=stop_after,
     )
     run_group([cell], {})
     return cell.last_record
 
 
-def _write_manifest(stream, seed, path, digest, written: dict[int, Path]) -> None:
-    if seed in written:
-        shutil.copyfile(written[seed], path)
-    else:
-        stream.save_manifest(path, config_digest=digest)
-        written[seed] = path
+def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
+    """Refuse to resume a cell whose manifest records another dataset: a CSV
+    dataset's contents are not in the config digest. A missing or torn
+    manifest records nothing, and is rewritten."""
+    try:
+        recorded = json.loads(manifest.read_bytes())
+    except (OSError, ValueError):
+        return
+    if isinstance(recorded, dict) and recorded.get("dataset_ref") != dataset_ref:
+        raise ConfigError(
+            f"{manifest} records dataset_ref {recorded.get('dataset_ref')}, but the "
+            f"dataset loaded now has dataset_ref {dataset_ref}: the input changed "
+            "since the run started"
+        )
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write aside, then rename: a crash leaves the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _write_flushed(f, text: str) -> None:
@@ -457,42 +462,28 @@ def run(
 
     out.mkdir(parents=True, exist_ok=True)
     digest = cfg.digest()
-    (out / "config.json").write_text(
-        json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n"
+    _write_atomic(
+        out / "config.json",
+        json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
     )
 
     running = {}  # the (strategy, seed) being run, for the error report
     try:
-        stream_for = _stream_per_seed(cfg, train_set)
-        # seed -> manifest written by this call; a file left by an earlier
-        # run (perhaps torn) is never copied
-        written_manifests: dict[int, Path] = {}
-        finals: dict[tuple[str, int], metrics.RunRecord] = {}
-        n_experiences: dict[int, int] = {}
         for seed in cfg.seeds:
-            stream = stream_for(seed)
-            n_experiences[seed] = len(stream)
+            stream = build_stream(cfg, train_set, seed)[0]
+            manifest = stream.manifest_text(digest)  # the one serialisation per seed
             for strategies in _lockstep_groups(cfg.strategies):
                 cells = [
                     Cell(
                         cfg, train_set, test_set, stream, strategy, seed,
-                        cell_dir(out, strategy, seed), written_manifests,
+                        cell_dir(out, strategy, seed), manifest,
                         resume=resume, stop_after=stop_after,
                     )
                     for strategy in strategies
                 ]
                 run_group(cells, running)
-                for c in cells:
-                    final = c.last_record or _final_record_from_csv(c.paths, c.strategy, seed)
-                    if final is not None:
-                        finals[c.strategy, seed] = final
-        final_by_strategy: dict[str, list[metrics.RunRecord]] = {}
-        for strategy in cfg.strategies:
-            for seed in cfg.seeds:
-                if (strategy, seed) in finals:
-                    final_by_strategy.setdefault(strategy, []).append(finals[strategy, seed])
         running.clear()
-        _write_summary(out, cfg, final_by_strategy, n_experiences)
+        _write_summary(out, cfg)
         if stop_after is None and (
             cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
         ):
@@ -531,27 +522,6 @@ def _write_error_report(out: Path, exc: Exception, digest: str, **cell) -> None:
     (out / "error_report.json").write_text(json.dumps(report, indent=1) + "\n")
 
 
-def _final_record_from_csv(paths: CellPaths, strategy: str, seed: int):
-    """Final metrics of a cell that was already complete when resumed."""
-    if not paths.metrics_csv.exists():
-        return None
-    rows = metrics.parse_csv(paths.metrics_csv)
-    if not rows:
-        return None
-    last = rows[-1]
-    return metrics.RunRecord(
-        experience_index=last["experience_index"],
-        strategy=strategy,
-        seed=seed,
-        ta=last["ta"],
-        sca=last["sca"],
-        mca=last["mca"],
-        per_class_acc=np.empty(0),
-        infrequent_acc=last["infrequent_acc"],
-        frequent_acc=last["frequent_acc"],
-    )
-
-
 def _agg(values: list[float | None]) -> dict | None:
     # 6-decimal precision matches the metrics CSV, the canonical record
     present = [round(v, 6) for v in values if v is not None]
@@ -564,32 +534,34 @@ def _agg(values: list[float | None]) -> dict | None:
     }
 
 
-def _write_summary(out: Path, cfg: ExperimentConfig, final_by_strategy, n_experiences) -> None:
-    """Aggregate final metrics per strategy. A cell that stopped before the
-    last experience of its stream (``stop_after``) is listed under
-    ``incomplete_cells`` with the last experience it reached; the key is
-    absent when every cell finished."""
+def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
+    """Aggregate final metrics per strategy from the last row of each cell's
+    ``metrics.csv``. A cell that stopped before the last experience of its
+    stream (``stop_after``) is listed under ``incomplete_cells`` with the
+    last experience it reached; the key is absent when every cell finished."""
     summary = {
         "config_digest": cfg.digest(),
         "created_unix": time.time(),
         "seeds": list(cfg.seeds),
         "strategies": {},
     }
-    for strategy, records in final_by_strategy.items():
-        entry = {
-            "final_ta": _agg([r.ta for r in records]),
-            "final_sca": _agg([r.sca for r in records]),
-            "final_mca": _agg([r.mca for r in records]),
-        }
+    last_index = cfg.generator.n - 1  # every generator yields generator.n experiences
+    for strategy in cfg.strategies:
+        csvs = [cell_dir(out, strategy, seed).metrics_csv for seed in cfg.seeds]
+        rows = [row for row in map(metrics.last_row, csvs) if row is not None]
+        if not rows:
+            continue
+        entry = {f"final_{m}": _agg([row[m] for row in rows]) for m in ("ta", "sca", "mca")}
         cut_short = [
-            {"seed": r.seed, "incomplete": True, "last_experience_index": r.experience_index}
-            for r in records
-            if r.experience_index < n_experiences[r.seed] - 1
+            {"seed": row["seed"], "incomplete": True,
+             "last_experience_index": row["experience_index"]}
+            for row in rows
+            if row["experience_index"] < last_index
         ]
         if cut_short:
             entry["incomplete_cells"] = cut_short
         summary["strategies"][strategy] = entry
-    (out / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
+    _write_atomic(out / "summary.json", json.dumps(summary, indent=1) + "\n")
 
 
 # -- stream inspection ------------------------------------------------------------
@@ -693,7 +665,7 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     probe_rng = np.random.default_rng(spec.cka_probe_seed)
     probe_size = min(spec.cka_probe_size, len(test_set))
     probe = test_set.features[probe_rng.choice(len(test_set), size=probe_size, replace=False)]
-    stream_for = _stream_per_seed(cfg, train_set)
+    stream_for = functools.cache(lambda seed: build_stream(cfg, train_set, seed)[0])
 
     for strategy in cfg.strategies:
         for seed in cfg.seeds:

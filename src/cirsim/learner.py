@@ -69,11 +69,6 @@ class ModelParams:
             activation=self.activation,
         )
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -391,7 +386,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Raises ``CheckpointError`` naming ``path`` when the file is torn,
     corrupt, of another format version, or fails its digest."""
     try:
-        with np.load(path) as data:
+        # np.load given a path leaves the file open when zipfile rejects it
+        with open(path, "rb") as f, np.load(f) as data:
             header = json.loads(bytes(data["header"]).decode())
             if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise CheckpointError("unsupported checkpoint format version")

@@ -7,6 +7,7 @@ infrequent/frequent class splits of bimodal streams. mca is undefined when
 nothing is missing and is recorded as absent rather than zero.
 """
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,23 +136,29 @@ def to_csv_row(record: RunRecord) -> str:
 def parse_csv(path) -> list[dict]:
     """Read a metrics CSV back into dicts (floats where present, None where
     the field was recorded absent)."""
-    rows = []
     with open(path, encoding="utf-8") as f:
-        header = None
-        for line in f:
-            if line.startswith("#"):
-                continue
-            if header is None:
-                header = line.strip().split(",")
-                continue
-            cells = line.rstrip("\n").split(",")
-            row = {}
-            for key, cell in zip(header, cells):
-                if key in ("experience_index", "seed"):
-                    row[key] = int(cell)
-                elif key == "strategy":
-                    row[key] = cell
-                else:
-                    row[key] = float(cell) if cell else None
-            rows.append(row)
-    return rows
+        lines = (line for line in f if not line.startswith("#"))
+        header = next(lines, "").strip().split(",")
+        return [_parse_row(header, line) for line in lines]
+
+
+def last_row(path) -> dict | None:
+    """The last row of a metrics CSV, as ``parse_csv`` gives it, parsing
+    only that row and the header; None when there is no row."""
+    with open(path, encoding="utf-8") as f:
+        lines = (line for line in f if not line.startswith("#"))
+        header = next(lines, "").strip().split(",")
+        last = collections.deque(lines, maxlen=1)
+    return _parse_row(header, last[0]) if last else None
+
+
+def _parse_row(header: list[str], line: str) -> dict:
+    row = {}
+    for key, cell in zip(header, line.rstrip("\n").split(",")):
+        if key in ("experience_index", "seed"):
+            row[key] = int(cell)
+        elif key == "strategy":
+            row[key] = cell
+        else:
+            row[key] = float(cell) if cell else None
+    return row

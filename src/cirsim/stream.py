@@ -9,7 +9,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,15 +189,26 @@ class Stream:
             notes=tuple(manifest.get("notes", ())),
         )
 
-    def save_manifest(self, path, config_digest: str | None = None) -> None:
-        """Write the manifest as JSON; ``config_digest``, when given, is
-        stored as its last key."""
+    def manifest_text(self, config_digest: str | None = None) -> str:
+        """The manifest as ``json.dumps(indent=1)`` text and a newline;
+        ``config_digest``, when given, is stored as its last key.
+
+        Each experience is dumped on its own and indented into place (a JSON
+        string holds no raw newline), which gives the same text without
+        holding every small chunk of the whole manifest at once."""
         manifest = self.to_manifest()
+        experiences, manifest["experiences"] = manifest["experiences"], []
         if config_digest is not None:
             manifest["config_digest"] = config_digest
+        text = json.dumps(manifest, indent=1) + "\n"
+        if not experiences:
+            return text
+        items = ",\n  ".join(json.dumps(e, indent=1).replace("\n", "\n  ") for e in experiences)
+        return text.replace('"experiences": []', f'"experiences": [\n  {items}\n ]', 1)
+
+    def save_manifest(self, path, config_digest: str | None = None) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=1)
-            f.write("\n")
+            f.write(self.manifest_text(config_digest))
 
     @classmethod
     def load_manifest(cls, path) -> "Stream":
@@ -276,8 +287,6 @@ class PropertyReport:
     covered_class_fraction: float
     every_experience_full_codomain: bool
     classification: str
-    concept_overlap: np.ndarray = field(repr=False, default=None)
-    instance_overlap: np.ndarray = field(repr=False, default=None)
 
 
 def verify_scenario_properties(stream: Stream, dataset: LabeledDataset) -> PropertyReport:
@@ -331,8 +340,6 @@ def verify_scenario_properties(stream: Stream, dataset: LabeledDataset) -> Prope
         covered_class_fraction=covered_cls,
         every_experience_full_codomain=full_codomain,
         classification=classification,
-        concept_overlap=concept_overlap,
-        instance_overlap=instance_overlap,
     )
 
 

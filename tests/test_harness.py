@@ -128,61 +128,114 @@ def test_run_builds_each_seed_stream_once(tmp_path, monkeypatch):
         assert json.loads(a)["config_digest"] == cfg.digest()
 
 
-def _count_manifest_writes(monkeypatch) -> list[Path]:
-    """Patch ``Stream.save_manifest`` to record the path of every call."""
-    paths = []
-    original = Stream.save_manifest
-
-    def counting(self, path, config_digest=None):
-        paths.append(Path(path))
-        return original(self, path, config_digest=config_digest)
-
-    monkeypatch.setattr(Stream, "save_manifest", counting)
-    return paths
-
-
 def _reference_manifest(cfg, seed, path) -> bytes:
     train_set, _ = harness.load_inputs(cfg)
     harness.build_stream(cfg, train_set, seed)[0].save_manifest(path, config_digest=cfg.digest())
     return path.read_bytes()
 
 
+def _assert_manifests_match_reference(tmp_path, out, cfg) -> None:
+    for seed in cfg.seeds:
+        expected = _reference_manifest(cfg, seed, tmp_path / f"reference{seed}.json")
+        for strategy in cfg.strategies:
+            path = out / strategy / f"seed{seed}" / "stream_manifest.json"
+            assert path.read_bytes() == expected, path
+
+
 def test_run_serialises_each_seed_manifest_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     strategies = ["naive", "er-rs", "er-fa"]
     cfg = ExperimentConfig.from_dict(small_config(out, strategies=strategies, seeds=[0, 1]))
-    written = _count_manifest_writes(monkeypatch)
+    serialised = []
+    manifest_text = Stream.manifest_text
+
+    def counting(self, config_digest=None):
+        serialised.append(config_digest)
+        return manifest_text(self, config_digest)
+
+    monkeypatch.setattr(Stream, "manifest_text", counting)
     assert harness.run(cfg) == harness.EXIT_OK
-    assert written == [out / "naive" / f"seed{seed}" / "stream_manifest.json" for seed in (0, 1)]
+    assert serialised == [cfg.digest()] * 2  # one per seed, not per cell
     monkeypatch.undo()
-    for seed in (0, 1):
-        expected = _reference_manifest(cfg, seed, tmp_path / f"reference{seed}.json")
-        for strategy in strategies:
-            path = out / strategy / f"seed{seed}" / "stream_manifest.json"
-            assert path.read_bytes() == expected, path
+    _assert_manifests_match_reference(tmp_path, out, cfg)
 
 
-def test_resume_never_copies_an_old_manifest(tmp_path, monkeypatch):
-    # a run stopped after its first cell, whose manifest was then torn: the
-    # cells started on resume write their own manifest, not a copy of it
+def test_resume_rewrites_every_torn_manifest(tmp_path):
+    # a run stopped mid-stream, whose started cells' manifests were then torn
+    # (naive's too) and one of whose cells was removed: every cell, resumed or
+    # started afresh, writes the seed's manifest whole
     out = tmp_path / "out"
     strategies = ["naive", "er-rs", "er-fa"]
-    cfg = ExperimentConfig.from_dict(small_config(out, strategies=strategies, seeds=[0, 1]))
-    assert harness.run(cfg) == harness.EXIT_OK
-    for strategy in strategies[1:]:
-        shutil.rmtree(out / strategy)
+    cfg = ExperimentConfig.from_dict(
+        small_config(out, strategies=strategies, seeds=[0, 1], checkpoint_every=2)
+    )
+    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
     for seed in (0, 1):
-        torn = out / "naive" / f"seed{seed}" / "stream_manifest.json"
-        torn.write_bytes(torn.read_bytes()[:60])
-    written = _count_manifest_writes(monkeypatch)
+        for strategy in strategies[:2]:
+            torn = out / strategy / f"seed{seed}" / "stream_manifest.json"
+            torn.write_bytes(torn.read_bytes()[:60])
+    shutil.rmtree(out / "er-fa")
     assert harness.run(cfg, resume=True) == harness.EXIT_OK
-    assert written == [out / "er-rs" / f"seed{seed}" / "stream_manifest.json" for seed in (0, 1)]
-    monkeypatch.undo()
-    for seed in (0, 1):
-        expected = _reference_manifest(cfg, seed, tmp_path / f"reference{seed}.json")
-        for strategy in strategies[1:]:
-            path = out / strategy / f"seed{seed}" / "stream_manifest.json"
-            assert path.read_bytes() == expected, path
+    _assert_manifests_match_reference(tmp_path, out, cfg)
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_resume_refuses_a_changed_csv_dataset(tmp_path, capsys):
+    # a CSV dataset's contents are not in the config digest: the manifest's
+    # dataset_ref is what shows that the input changed under the resume
+    from cirsim.stream import make_synthetic_dataset, save_dataset_csv
+
+    train, test = make_synthetic_dataset(4, 20, 5, 0.4, np.random.default_rng(0))
+    save_dataset_csv(train, tmp_path / "train.csv")
+    save_dataset_csv(test, tmp_path / "test.csv")
+    out = tmp_path / "out"
+    raw = small_config(
+        out,
+        dataset={"kind": "csv", "train_path": str(tmp_path / "train.csv"),
+                 "test_path": str(tmp_path / "test.csv")},
+        strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2,
+    )
+    path = write_config(tmp_path, raw)
+    assert harness.run(ExperimentConfig.from_dict(raw), stop_after=3) == harness.EXIT_OK
+    manifest = out / "naive" / "seed0" / "stream_manifest.json"
+    before = manifest.read_bytes()
+    train_csv = tmp_path / "train.csv"
+    original = train_csv.read_text()
+    header, first, *rest = original.splitlines(keepends=True)
+    label, feature, *others = first.split(",")
+    changed = ",".join([label, repr(float(feature) + 0.25), *others])
+    train_csv.write_text(header + changed + "".join(rest))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--resume"]) == harness.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "dataset_ref" in err
+    assert manifest.read_bytes() == before
+    # the unchanged dataset resumes to the end
+    train_csv.write_text(original)
+    assert cli.main(["run", str(path), "--resume"]) == harness.EXIT_OK
+    assert parse_csv(out / "er-rs" / "seed0" / "metrics.csv")[-1]["experience_index"] == 7
+    assert manifest.read_bytes() == before
+
+
+def test_stopped_and_resumed_grid_writes_the_uninterrupted_summary(tmp_path):
+    strategies = ["naive", "er-rs", "er-cb", "er-fa"]
+    raw = small_config(tmp_path / "whole", strategies=strategies, seeds=[0, 1],
+                       checkpoint_every=2)
+    cfg = ExperimentConfig.from_dict(raw)
+    resumed = tmp_path / "resumed"
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert harness.run(cfg, out_dir=resumed, stop_after=4) == harness.EXIT_OK
+    cut_short = json.loads((resumed / "summary.json").read_text())["strategies"]["naive"]
+    assert "incomplete_cells" in cut_short
+    assert harness.run(cfg, out_dir=resumed, resume=True) == harness.EXIT_OK
+    summaries = []
+    for run_dir in (tmp_path / "whole", resumed):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        summary.pop("created_unix")
+        summaries.append(summary)
+        assert not list(run_dir.rglob("*.tmp"))
+    assert summaries[0] == summaries[1]
+    assert set(summaries[1]["strategies"]) == set(strategies)
 
 
 def test_analyze_builds_streams_only_for_interpolation(tmp_path, monkeypatch):
@@ -280,8 +333,11 @@ def test_resume_refuses_other_configs_state(tmp_path):
     other["train"] = {"lr": 0.05, "epochs_per_experience": 1, "batch_size": 16,
                       "replay_mix": 0.5}
     cfg2 = ExperimentConfig.from_dict(other)
+    manifest = out / "naive" / "seed0" / "stream_manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:60])  # torn, and left so by a refusal
     with pytest.raises(ConfigError, match="different config"):
         harness.run(cfg2, out_dir=out, resume=True)
+    assert len(manifest.read_bytes()) == 60
 
 
 def test_resume_rejects_other_state_version(tmp_path):
@@ -293,8 +349,11 @@ def test_resume_rejects_other_state_version(tmp_path):
     state = json.loads(path.read_text())
     state["state_version"] = 2
     path.write_text(json.dumps(state))
+    manifest = out / "er-cb" / "seed0" / "stream_manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:60])  # torn, and left so by a refusal
     with pytest.raises(ConfigError, match=r"state_version 2.*state_version 1"):
         harness.run(cfg, resume=True)
+    assert len(manifest.read_bytes()) == 60
 
 
 def test_resume_skips_torn_newest_state_or_checkpoint(tmp_path):
@@ -350,7 +409,7 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
         for strategy in REPLAY_TRIO:
             sizes.clear()
             paths = harness.cell_dir(tmp_path / "alone", strategy, seed)
-            last = harness.run_cell(cfg, train_set, test_set, stream, strategy, seed, paths, {})
+            last = harness.run_cell(cfg, train_set, test_set, stream, strategy, seed, paths)
             assert set(sizes) == {1} and last.experience_index == len(stream) - 1
             grouped = _tree_bytes(harness.cell_dir(tmp_path / "grid", strategy, seed).root)
             assert _tree_bytes(paths.root) == grouped
@@ -380,7 +439,8 @@ def test_cell_step_puts_its_rows_on_disk(tmp_path):
     train_set, test_set = harness.load_inputs(cfg)
     stream, _ = harness.build_stream(cfg, train_set, 0)
     paths = harness.cell_dir(tmp_path / "out", "er-rs", 0)
-    cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, {})
+    manifest = stream.manifest_text(cfg.digest())
+    cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, manifest)
     cell.start()
     try:
         for exp in stream.experiences[:3]:

@@ -1,3 +1,5 @@
+import gc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -435,3 +437,19 @@ class TestCheckpoints:
             np.savez(f, **arrays)
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
+
+    def test_torn_checkpoint_closes_its_file(self, tmp_path):
+        params = init_params(5, (7,), 3, "relu", np.random.default_rng(3))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(snapshot(params, 0), path)
+        path.write_bytes(path.read_bytes()[:50])  # torn mid-write: zipfile rejects it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            # no pytest.raises: its traceback would keep the frame, and so the file, alive
+            try:
+                load_checkpoint(path)
+            except CheckpointError as exc:
+                message = str(exc)
+            gc.collect()
+        assert str(path) in message
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

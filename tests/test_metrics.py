@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cirsim.learner import ModelParams, init_params, predict
-from cirsim.metrics import EvalContext, csv_header, evaluate, parse_csv, to_csv_row
+from cirsim.metrics import EvalContext, csv_header, evaluate, last_row, parse_csv, to_csv_row
 from cirsim.stream import LabeledDataset
 
 
@@ -148,3 +148,20 @@ def test_csv_round_trip_preserves_absent_values(tmp_path):
     assert row["mca"] is None  # absent, not zero
     assert row["ta"] == pytest.approx(1 / 3, abs=1e-6)
     assert row["acc_c0"] == pytest.approx(1.0)
+
+
+def test_last_row_is_parse_csvs_last_row(tmp_path):
+    test_set = _three_class_test_set()
+    path = tmp_path / "metrics.csv"
+    with open(path, "w") as f:
+        f.write("# config_digest=abc\n")
+        f.write(csv_header(3))
+    assert last_row(path) is None  # header only
+    with open(path, "a") as f:
+        for index, seen in enumerate(({0}, {0, 1}, {0, 1, 2})):
+            ctx = EvalContext(frozenset(seen), frozenset({0}))
+            f.write(to_csv_row(evaluate(_only_class0_params(), test_set, ctx,
+                                        experience_index=index, strategy="er-fa", seed=1)))
+    rows = parse_csv(path)
+    assert len(rows) == 3
+    assert last_row(path) == rows[-1]

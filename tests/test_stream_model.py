@@ -189,6 +189,44 @@ def test_manifest_digest_written_as_last_key(tmp_path):
     assert restored.to_manifest() == stream.to_manifest()
 
 
+_text = st.text(max_size=12) | st.just('"experiences": []')
+_experience = st.fixed_dictionaries({
+    "instances": st.lists(st.integers(0, 2**62), max_size=6),  # empty ones too
+    "present": st.frozensets(st.integers(0, 2**40), max_size=4),
+    "provenance": st.one_of(
+        st.builds(Provenance, kind=st.just("occurrence_column"),
+                  column=st.lists(st.integers(0, 1), max_size=5).map(tuple)),
+        st.builds(Provenance, kind=st.just("slot_assignment"),
+                  slots=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 9)),
+                                 max_size=3).map(tuple)),
+    ),
+    "flags": st.lists(_text, max_size=2).map(tuple),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    experiences=st.lists(_experience, max_size=4),
+    notes=st.lists(_text, max_size=2),
+    dataset_ref=_text,
+    config_digest=st.none() | _text,
+)
+def test_manifest_text_equals_json_dumps(experiences, notes, dataset_ref, config_digest):
+    stream = Stream(
+        experiences=tuple(
+            Experience(i, e["instances"], e["present"], e["provenance"], e["flags"])
+            for i, e in enumerate(experiences)
+        ),
+        dataset_ref=dataset_ref,
+        generator_config_hash="h",
+        notes=tuple(notes),
+    )
+    manifest = stream.to_manifest()
+    if config_digest is not None:
+        manifest["config_digest"] = config_digest
+    assert stream.manifest_text(config_digest) == json.dumps(manifest, indent=1) + "\n"
+
+
 def test_dataset_csv_round_trip(tmp_path):
     train, _ = make_synthetic_dataset(4, 9, 5, 0.3, np.random.default_rng(5))
     path = tmp_path / "data.csv"
