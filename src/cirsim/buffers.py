@@ -74,23 +74,48 @@ class BufferComposition:
     empty: bool
 
 
+def _reservoir(
+    store: np.ndarray, incoming: np.ndarray, seen: int, cap: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``store`` (at most ``cap`` items, ``seen`` streamed so far) after
+    reservoir sampling ``incoming``. Free slots take items first; then the
+    item at stream position t (1-based) claims slot rng[0,t), and slots <
+    cap both accept (prob cap/t) and name the victim. One offset at a time:
+    a slot claimed twice keeps the later item."""
+    fill = min(cap - store.size, incoming.size)
+    out = np.concatenate([store, incoming[:fill]])
+    if fill < incoming.size and cap > 0:
+        positions = seen + fill + 1 + np.arange(incoming.size - fill)
+        slots = rng.integers(0, positions)
+        for off in np.flatnonzero(slots < cap):
+            out[slots[off]] = incoming[fill + off]
+    return out
+
+
+def _subsample(items: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` of ``items`` drawn without replacement, in their stored order."""
+    return items[np.sort(rng.choice(len(items), size=size, replace=False))]
+
+
 @dataclass(eq=False)
 class ReplayBuffer:
     """Bounded sample store plus per-class observation counts.
 
     What it stores is two parallel read-only int64 arrays, ``instances`` and
-    ``labels``: in reservoir slot order for ``rs``, grouped by ``seen_order``
-    (insertion order within a class) for ``cb``/``fa``. Every update replaces
-    both arrays.
+    ``labels``. For ``rs`` they are the store itself, in reservoir slot
+    order. ``cb``/``fa`` keep ``_store``, each seen class's instances in
+    insertion order, and lay the arrays out from it class by class after
+    every update. Classes are first-seen ordered: ``observations`` (and
+    ``_store``) gain a class when it is first streamed.
     """
 
     max_size: int
     policy: str
-    seen_order: list[int] = field(default_factory=list)
     observations: dict[int, int] = field(default_factory=dict)
     rs_seen_count: int = 0
     instances: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
+    _store: dict[int, np.ndarray] = field(default_factory=dict, repr=False)  # cb/fa
     _cb_class_seen: dict[int, int] = field(default_factory=dict)  # items streamed per class
     _quotas: dict[int, int] | None = field(init=False, repr=False)
 
@@ -100,7 +125,7 @@ class ReplayBuffer:
         if self.max_size < 1:
             raise ValueError("buffer max_size must be >= 1")
         empty = np.empty(0, dtype=np.int64)
-        self._set_store(empty, empty)
+        self._set_arrays(empty, empty)
         self._quotas = self._compute_quotas()
 
     # -- views -------------------------------------------------------------
@@ -137,75 +162,57 @@ class ReplayBuffer:
 
     def to_state(self) -> dict:
         """JSON-ready state from which ``from_state`` rebuilds this buffer."""
-        if self.policy == "rs":
-            store, rs_items = {}, np.column_stack([self.instances, self.labels]).tolist()
-        else:
-            store = {str(c): items for c, items in self._split_by_class().items()}
-            rs_items = []
+        rs = self.policy == "rs"
         return {
             "policy": self.policy,
             "max_size": self.max_size,
-            "store": store,
-            "seen_order": list(self.seen_order),
+            "store": {str(c): items.tolist() for c, items in self._store.items()},
+            "seen_order": list(self.observations),
             "observations": {str(c): n for c, n in self.observations.items()},
             "rs_seen_count": self.rs_seen_count,
-            "rs_items": rs_items,
+            "rs_items": np.column_stack([self.instances, self.labels]).tolist() if rs else [],
             "cb_class_seen": {str(c): n for c, n in self._cb_class_seen.items()},
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "ReplayBuffer":
         buf = cls(max_size=state["max_size"], policy=state["policy"])
-        buf.seen_order = list(state["seen_order"])
-        buf.observations = {int(c): n for c, n in state["observations"].items()}
+        order = state["seen_order"]
+        buf.observations = {c: state["observations"][str(c)] for c in order}
         buf.rs_seen_count = state["rs_seen_count"]
         buf._cb_class_seen = {int(c): n for c, n in state["cb_class_seen"].items()}
         if buf.policy == "rs":
             pairs = np.array(state["rs_items"], dtype=np.int64).reshape(-1, 2)
-            buf._set_store(pairs[:, 0], pairs[:, 1])
+            buf._set_arrays(pairs[:, 0], pairs[:, 1])
         else:
-            buf._set_grouped({int(c): items for c, items in state["store"].items()})
+            store = state["store"]
+            buf._store = {c: np.array(store[str(c)], dtype=np.int64) for c in order}
+            buf._lay_out()
         buf._quotas = buf._compute_quotas()
         return buf
 
     # -- updates -----------------------------------------------------------
 
-    def _set_store(self, instances: np.ndarray, labels: np.ndarray) -> None:
+    def _set_arrays(self, instances: np.ndarray, labels: np.ndarray) -> None:
         instances.flags.writeable = False
         labels.flags.writeable = False
         self.instances, self.labels = instances, labels
 
-    def _split_by_class(self) -> dict[int, list[int]]:
-        """Stored instances of every seen class (cb/fa), in insertion order."""
-        per_class = self.counts()
-        stored, out, end = self.instances.tolist(), {}, 0
-        for c in self.seen_order:
-            start, end = end, end + per_class.get(c, 0)
-            out[c] = stored[start:end]
-        return out
-
-    def _set_grouped(self, per_class: dict[int, list[int]]) -> None:
-        order = self.seen_order
-        instances = [i for c in order for i in per_class[c]]
-        labels = np.repeat(np.array(order, dtype=np.int64), [len(per_class[c]) for c in order])
-        self._set_store(np.array(instances, dtype=np.int64), labels)
+    def _lay_out(self) -> None:
+        """``instances``/``labels`` from ``_store``, class by class."""
+        store = self._store
+        empty = np.empty(0, dtype=np.int64)
+        labels = np.repeat(
+            np.fromiter(store, dtype=np.int64, count=len(store)), [a.size for a in store.values()]
+        )
+        self._set_arrays(np.concatenate([empty, *store.values()]), labels)
 
     def _compute_quotas(self) -> dict[int, int] | None:
         if self.policy == "cb":
-            return class_balanced_quotas(self.seen_order, self.max_size)
+            return class_balanced_quotas(list(self.observations), self.max_size)
         if self.policy == "fa":
             return frequency_aware_quotas(self.observations, self.max_size)
         return None
-
-    def _observe(self, labels: np.ndarray) -> list[int]:
-        present = sorted(int(c) for c in np.unique(labels))
-        for c in present:
-            if c not in self.observations:
-                self.seen_order.append(c)
-                self.observations[c] = 1
-            else:
-                self.observations[c] += 1
-        return present
 
     def update(self, instances: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> None:
         instances = np.asarray(instances, dtype=np.int64)
@@ -214,92 +221,67 @@ class ReplayBuffer:
             raise ValueError("instances and labels must align")
         if instances.size == 0:
             return
-        present = self._observe(labels)
+        present = np.unique(labels).tolist()
+        for c in present:
+            self.observations[c] = self.observations.get(c, 0) + 1
         self._quotas = self._compute_quotas()
         if self.policy == "rs":
-            self._update_rs(instances, labels, rng)
-        elif self.policy == "cb":
-            self._update_cb(instances, labels, present, rng)
+            # on row ids (old rows, then new), so instances and labels move together
+            size = self.instances.size
+            rows = _reservoir(
+                np.arange(size), size + np.arange(instances.size),
+                self.rs_seen_count, self.max_size, rng,
+            )
+            self.rs_seen_count += instances.size
+            self._set_arrays(
+                np.concatenate([self.instances, instances])[rows],
+                np.concatenate([self.labels, labels])[rows],
+            )
         else:
-            self._update_fa(instances, labels, present, rng)
+            empty = np.empty(0, dtype=np.int64)
+            for c in present:
+                self._store.setdefault(c, empty)
+            if self.policy == "cb":
+                self._update_cb(instances, labels, present, rng)
+            else:
+                self._update_fa(instances, labels, present, rng)
+            self._lay_out()
         assert self.total_stored() <= self.max_size
 
-    def _update_rs(self, instances, labels, rng) -> None:
-        m = self.max_size
-        fill = min(m - self.instances.size, instances.size)
-        inst = np.concatenate([self.instances, instances[:fill]])
-        labs = np.concatenate([self.labels, labels[:fill]])
-        t = self.rs_seen_count + fill
-        if fill < instances.size:
-            # item at stream position t (1-based) claims slot rng[0,t);
-            # slots < m both accept (prob m/t) and name the victim. One
-            # offset at a time: a slot claimed twice keeps the later item.
-            positions = t + 1 + np.arange(instances.size - fill)
-            slots = rng.integers(0, positions)
-            for off in np.flatnonzero(slots < m):
-                inst[slots[off]] = instances[fill + off]
-                labs[slots[off]] = labels[fill + off]
-            t = int(positions[-1])
-        self.rs_seen_count = t
-        self._set_store(inst, labs)
-
     def _update_cb(self, instances, labels, present, rng) -> None:
-        quotas = self._quotas
-        store = self._split_by_class()
-        for c in self.seen_order:
-            items = store[c]
-            if len(items) > quotas[c]:
-                keep = rng.choice(len(items), size=quotas[c], replace=False)
-                store[c] = [items[i] for i in sorted(keep)]
+        quotas, store = self._quotas, self._store
+        for c, items in store.items():
+            if items.size > quotas[c]:
+                store[c] = _subsample(items, quotas[c], rng)
         for c in present:
-            cap = quotas[c]
-            items = store[c]
             incoming = instances[labels == c]
             seen = self._cb_class_seen.get(c, 0)
             self._cb_class_seen[c] = seen + incoming.size
-            fill = min(cap - len(items), incoming.size)
-            items.extend(incoming[:fill].tolist())
-            if fill < incoming.size and cap > 0:
-                # per-class reservoir, as in _update_rs: the item at class
-                # position t (1-based) claims slot rng[0,t); a slot claimed
-                # twice keeps the later item
-                positions = seen + fill + 1 + np.arange(incoming.size - fill)
-                slots = rng.integers(0, positions)
-                for off in np.flatnonzero(slots < cap):
-                    items[slots[off]] = int(incoming[fill + off])
-        self._set_grouped(store)
+            store[c] = _reservoir(store[c], incoming, seen, quotas[c], rng)
 
     def _update_fa(self, instances, labels, present, rng) -> None:
-        m = self.max_size
-        quotas = self._quotas
-        store = self._split_by_class()
+        quotas, store = self._quotas, self._store
         incoming = {c: instances[labels == c] for c in present}
         available = {
-            c: len(store[c]) + (incoming[c].size if c in incoming else 0)
-            for c in self.seen_order
+            c: items.size + (incoming[c].size if c in incoming else 0)
+            for c, items in store.items()
         }
-        target = {c: min(quotas[c], available[c]) for c in self.seen_order}
+        target = {c: min(quotas[c], available[c]) for c in store}
         # fill unused capacity from the most frequently observed classes
-        leftover = m - sum(target.values())
-        for c in sorted(self.seen_order, key=lambda c: (-self.observations[c], c)):
+        leftover = self.max_size - sum(target.values())
+        for c in sorted(store, key=lambda c: (-self.observations[c], c)):
             if leftover <= 0:
                 break
-            room = available[c] - target[c]
-            take = min(room, leftover)
+            take = min(available[c] - target[c], leftover)
             target[c] += take
             leftover -= take
-        for c in self.seen_order:
-            items = store[c]
+        for c, items in store.items():
             want = target[c]
-            if want < len(items):
-                keep = rng.choice(len(items), size=want, replace=False)
-                items = [items[i] for i in sorted(keep)]
-            elif want > len(items):
-                pool = incoming[c]
-                add = rng.choice(pool, size=want - len(items), replace=False)
-                items = items + [int(v) for v in add]
-            store[c] = items
-        self._set_grouped(store)
+            if want < items.size:
+                store[c] = _subsample(items, want, rng)
+            elif want > items.size:
+                add = rng.choice(incoming[c], size=want - items.size, replace=False)
+                store[c] = np.concatenate([items, add])
 
 
 def buffer_composition(buffer: ReplayBuffer, infrequent_classes=()) -> BufferComposition:

@@ -307,6 +307,8 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     for ov in overrides:
         apply_override(raw, ov)
     return ExperimentConfig.from_dict(raw)

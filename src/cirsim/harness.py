@@ -177,6 +177,8 @@ def _truncate_csv(path: Path, max_experience: int) -> None:
     kept = []
     with open(path, encoding="utf-8") as f:
         for line in f:
+            if not line.endswith("\n"):
+                break  # a row torn mid-write
             first = line.split(",", 1)[0]
             if line.startswith("#") or not first.isdigit() or int(first) <= max_experience:
                 kept.append(line)

@@ -69,6 +69,28 @@ def test_rs_mirrors_stream_class_ratio():
     assert counts[1] / 200 == pytest.approx(0.1, abs=0.05)
 
 
+@given(
+    max_size=st.integers(1, 30),
+    sizes=st.lists(st.integers(0, 25), min_size=1, max_size=8),
+    c=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_cb_on_one_class_is_the_reservoir(max_size, sizes, c, seed):
+    # cb's per-class reservoir and rs are one rule: with one class the quota
+    # is the whole buffer, so both keep the same items in the same slots
+    rs = ReplayBuffer(max_size=max_size, policy="rs")
+    cb = ReplayBuffer(max_size=max_size, policy="cb")
+    rng_rs, rng_cb = np.random.default_rng(seed), np.random.default_rng(seed)
+    start_rs = start_cb = 0
+    for n in sizes:
+        start_rs = _feed(rs, np.full(n, c), rng_rs, start_rs)
+        start_cb = _feed(cb, np.full(n, c), rng_cb, start_cb)
+        assert np.array_equal(cb.instances, rs.instances)
+        assert rng_cb.bit_generator.state == rng_rs.bit_generator.state
+        assert cb.to_state()["cb_class_seen"].get(str(c), 0) == rs.rs_seen_count
+
+
 # -- class balanced -------------------------------------------------------------
 
 

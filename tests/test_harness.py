@@ -377,6 +377,33 @@ def test_resume_skips_torn_newest_state_or_checkpoint(tmp_path):
             assert (resumed / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes(), rel
 
 
+def test_resume_drops_a_row_torn_at_any_byte(tmp_path):
+    # a torn row is a prefix of the row the stopped run would have written
+    # next; a 1-byte prefix "1" of row 12 once passed for an experience index
+    raw = small_config(tmp_path / "full", checkpoint_every=1, strategies=["er-rs"], seeds=[0])
+    raw["generator"].update(n=13, s=20)
+    cfg = ExperimentConfig.from_dict(raw)
+    assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
+    assert harness.run(cfg, out_dir=tmp_path / "stopped", stop_after=11) == harness.EXIT_OK
+    full, row12 = {}, {}
+    for name in ("metrics.csv", "buffer_trace.csv"):
+        full[name] = (tmp_path / "full" / "er-rs" / "seed0" / name).read_bytes()
+        head = (tmp_path / "stopped" / "er-rs" / "seed0" / name).read_bytes()
+        assert full[name].startswith(head)
+        row12[name] = full[name][len(head):].split(b"\n")[0] + b"\n"
+        assert row12[name].startswith(b"12,")
+    for cut in range(1, max(len(row) for row in row12.values())):
+        resumed = tmp_path / f"cut{cut}"
+        shutil.copytree(tmp_path / "stopped", resumed)
+        for name, row in row12.items():
+            with open(resumed / "er-rs" / "seed0" / name, "ab") as f:
+                f.write(row[:min(cut, len(row) - 1)])
+        assert harness.run(cfg, out_dir=resumed, resume=True) == harness.EXIT_OK
+        for name, data in full.items():
+            assert (resumed / "er-rs" / "seed0" / name).read_bytes() == data, (cut, name)
+        shutil.rmtree(resumed)
+
+
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -751,6 +778,12 @@ class TestCli:
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("argv", [["run", "--seed", "3"], ["inspect", "--set", "a.b=1"]])
+    def test_non_object_config_with_an_override_exit_2(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, [1, 2])
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, small_config(tmp_path / "ignored", seeds=[0, 1]))
