@@ -10,7 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import Checkpoint, ModelParams, accuracy, activations
+from .learner import Checkpoint, ModelParams, activations, predict_labels
+
+# interpolated models scored at once: bounds the stacked activations'
+# memory for any n_points
+_ALPHA_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -24,14 +28,6 @@ class InterpolationCurve:
 class BlockDistanceReport:
     block_names: tuple[str, ...]
     distances: tuple[float | None, ...]  # None where the reference block has zero norm
-
-
-def _combine(a: ModelParams, b: ModelParams, alpha: float) -> ModelParams:
-    return ModelParams(
-        weights=[alpha * wa + (1.0 - alpha) * wb for wa, wb in zip(a.weights, b.weights)],
-        biases=[alpha * ba + (1.0 - alpha) * bb for ba, bb in zip(a.biases, b.biases)],
-        activation=a.activation,
-    )
 
 
 def _check_same_shape(a: ModelParams, b: ModelParams) -> None:
@@ -52,21 +48,30 @@ def interpolate_checkpoints(
 
     The grid includes both endpoints: alpha = 1 reproduces checkpoint a
     exactly, alpha = 0 checkpoint b; n_points = 10 adds eight in-between
-    models.
+    models. They are scored as stacked models, ``_ALPHA_CHUNK`` at a time,
+    and every accuracy equals that of its model built and scored alone.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2 (both endpoints included)")
-    _check_same_shape(ckpt_a.params, ckpt_b.params)
+    a, b = ckpt_a.params, ckpt_b.params
+    _check_same_shape(a, b)
     alphas = np.linspace(0.0, 1.0, n_points)
-    accs = np.array(
-        [
-            accuracy(_combine(ckpt_a.params, ckpt_b.params, float(al)), eval_features, eval_labels)
-            for al in alphas
-        ]
-    )
+    y = np.asarray(eval_labels)
+    accs = []
+    for start in range(0, n_points, _ALPHA_CHUNK):
+        # a chunk of alphas as one stacked model; each element is
+        # alpha * a + (1 - alpha) * b, as in a model built for its alpha alone
+        al = alphas[start : start + _ALPHA_CHUNK, None]
+        models = ModelParams(
+            weights=[al[..., None] * wa + (1.0 - al[..., None]) * wb
+                     for wa, wb in zip(a.weights, b.weights)],
+            biases=[al * ba + (1.0 - al) * bb for ba, bb in zip(a.biases, b.biases)],
+            activation=a.activation,
+        )
+        accs.append((predict_labels(models, eval_features) == y).mean(axis=-1))
     return InterpolationCurve(
         alphas=alphas,
-        accuracies=accs,
+        accuracies=np.concatenate(accs),
         endpoint_indices=(ckpt_a.experience_index, ckpt_b.experience_index),
     )
 

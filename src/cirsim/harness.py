@@ -263,6 +263,17 @@ class Cell:
             self._open_csvs("a")
             return
 
+        # a fresh start owns the cell's directory: an earlier run's
+        # checkpoints, states and analysis would mislead a later analyze,
+        # resume or reader
+        for stale in [
+            *paths.checkpoints.glob("ckpt_*.npz"),
+            *paths.states.glob("state_*.json"),
+            *paths.analysis_dir.glob("*.csv"),
+            *paths.root.glob("*.tmp"),
+            *paths.states.glob("*.tmp"),
+        ]:
+            stale.unlink()
         self.params = learner.init_params(
             self.train_set.dim,
             cfg.model.hidden,
@@ -676,7 +687,10 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
                 continue
             try:
                 ckpts = sorted(
-                    (learner.load_checkpoint(p) for p in paths.checkpoints.glob("ckpt_*.npz")),
+                    (
+                        _load_run_checkpoint(p, digest)
+                        for p in paths.checkpoints.glob("ckpt_*.npz")
+                    ),
                     key=lambda ck: ck.experience_index,
                 )
                 if not ckpts:
@@ -695,6 +709,18 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
                 _write_error_report(run_dir, exc, digest, strategy=strategy, seed=seed)
                 return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _load_run_checkpoint(path: Path, digest: str) -> learner.Checkpoint:
+    """A checkpoint of the run whose config has ``digest``; one that another
+    config wrote (say, a run before it in the same directory) is refused."""
+    ck = learner.load_checkpoint(path)
+    if ck.meta.get("config_digest") != digest:
+        raise learner.CheckpointError(
+            f"{path} was written by config {ck.meta.get('config_digest')}, "
+            f"not by this run's config {digest}"
+        )
+    return ck
 
 
 def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> None:

@@ -11,7 +11,9 @@ Parameters are grouped into named blocks (one per layer) so that per-block
 weight diagnostics and layer-wise activation probes have stable handles.
 """
 
+import functools
 import hashlib
+import io
 import json
 import math
 import zipfile
@@ -50,11 +52,11 @@ class ModelParams:
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     @property
     def dim_in(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     def blocks(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         return [
@@ -168,17 +170,20 @@ def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
     top strictly ahead, so the softmax argmax is the logits' argmax. Only the
     other rows (near or exact ties, nan or infinite logits) go through the
     softmax itself.
+
+    Stacked parameters (see ``_forward``) on a shared 2-D input give (S, n)
+    labels, each model's row equal to its own call.
     """
     features = _model_input(params, features)
     _, _, logits = _forward(params, features)
-    labels = logits.argmax(axis=1)
-    top = logits[np.arange(logits.shape[0]), labels]
-    near = np.count_nonzero(logits >= (top - _TIE_GAP)[:, None], axis=1)
-    rows = np.flatnonzero((near > 1) | ~np.isfinite(top))
-    if rows.size:
+    labels = logits.argmax(axis=-1)
+    top = np.take_along_axis(logits, labels[..., None], axis=-1)
+    near = np.count_nonzero(logits >= top - _TIE_GAP, axis=-1)
+    rows = (near > 1) | ~np.isfinite(top[..., 0])
+    if rows.any():
         labels[rows] = softmax(logits[rows]).argmax(axis=1)
     if features.ndim == 1:
-        return labels[0]
+        return np.take(labels, 0, axis=-1)
     return labels
 
 
@@ -382,23 +387,57 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         np.savez(f, **arrays)
 
 
+# .npy magic and format version 1.0, which np.save writes for any header
+# under 64 KiB
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_header(header: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """(shape, fortran_order, dtype) from the bytes after a version 1.0
+    .npy magic: the 2-byte header length and the header dict. A run's
+    checkpoints repeat a few headers."""
+    return np.lib.format.read_array_header_1_0(io.BytesIO(header))
+
+
+def _npy_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array of one uncompressed .npy member (``np.savez`` compresses
+    none), writable, as ``np.load`` reads it; zipfile checks its CRC-32."""
+    if archive.getinfo(name).compress_type != zipfile.ZIP_STORED:
+        raise CheckpointError(f"member {name} is compressed")
+    data = archive.read(name)
+    if data[:8] != _NPY_MAGIC:
+        raise CheckpointError(f"member {name} is not a version 1.0 .npy array")
+    start = 10 + int.from_bytes(data[8:10], "little")
+    shape, fortran_order, dtype = _npy_header(data[8:start])
+    count = math.prod(shape)
+    if len(data) != start + count * dtype.itemsize:
+        raise CheckpointError(f"member {name} does not hold shape {shape}")
+    array = np.frombuffer(data, dtype=dtype, count=count, offset=start).copy()
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Raises ``CheckpointError`` naming ``path`` when the file is torn,
-    corrupt, of another format version, or fails its digest."""
+    corrupt, of another format version, or fails its digest. The file is
+    read once, and each member of the archive once."""
+    with open(path, "rb") as f:
+        blob = f.read()
     try:
-        # np.load given a path leaves the file open when zipfile rejects it
-        with open(path, "rb") as f, np.load(f) as data:
-            header = json.loads(bytes(data["header"]).decode())
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            header = json.loads(_npy_member(archive, "header.npy").tobytes().decode())
             if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise CheckpointError("unsupported checkpoint format version")
             n = header["n_layers"]
             params = ModelParams(
-                weights=[data[f"w{i}"] for i in range(n)],
-                biases=[data[f"b{i}"] for i in range(n)],
+                weights=[_npy_member(archive, f"w{i}.npy") for i in range(n)],
+                biases=[_npy_member(archive, f"b{i}.npy") for i in range(n)],
                 activation=header["activation"],
             )
             digest, index = header["digest"], header["experience_index"]
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+    # zipfile meets a damaged archive with any of these: RuntimeError for a
+    # flag or version it does not support
+    except (RuntimeError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if _params_digest(params) != digest:
         raise CheckpointError(f"checkpoint digest mismatch in {path}")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirsim.analysis import (
     block_distance,
@@ -62,6 +64,38 @@ class TestInterpolation:
         ck_a, ck_b, test = trained_pair
         with pytest.raises(ValueError):
             interpolate_checkpoints(ck_a, ck_b, 1, test.features, test.labels)
+
+
+def _combine(a: ModelParams, b: ModelParams, alpha: float) -> ModelParams:
+    """Oracle: the interpolated model for one alpha, built alone."""
+    return ModelParams(
+        weights=[alpha * wa + (1.0 - alpha) * wb for wa, wb in zip(a.weights, b.weights)],
+        biases=[alpha * ba + (1.0 - alpha) * bb for ba, bb in zip(a.biases, b.biases)],
+        activation=a.activation,
+    )
+
+
+@given(
+    activation=st.sampled_from(["relu", "tanh"]),
+    hidden=st.lists(st.integers(1, 12), max_size=2),
+    dims=st.tuples(st.integers(1, 8), st.integers(2, 9), st.integers(1, 40)),
+    n_points=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_curve_equals_each_alpha_alone(activation, hidden, dims, n_points, seed):
+    # the curve's models are scored in stacked chunks; every accuracy must be
+    # that of its model combined and scored on its own
+    rng = np.random.default_rng(seed)
+    d, c, n = dims
+    a, b = (init_params(d, tuple(hidden), c, activation, rng) for _ in range(2))
+    for bias in a.biases + b.biases:
+        bias += rng.normal(size=bias.shape)
+    x, y = rng.normal(size=(n, d)), rng.integers(0, c, size=n)
+    curve = interpolate_checkpoints(snapshot(a, 0), snapshot(b, 1), n_points, x, y)
+    want = np.array([accuracy(_combine(a, b, float(al)), x, y) for al in curve.alphas])
+    assert curve.accuracies.dtype == want.dtype
+    assert curve.accuracies.tobytes() == want.tobytes()
 
 
 class TestBlockDistance:

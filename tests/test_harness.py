@@ -586,6 +586,41 @@ def test_training_loop_outputs_match_golden_digests(tmp_path):
             assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{rel}"
 
 
+# sha256 of each cell's `analyze --all` outputs for a grid checkpointed after
+# every experience, through two hidden layers; 21 interpolation points per
+# pair span more than one stacked chunk of alphas
+ANALYSIS_GOLDEN_DIGESTS = {
+    "naive": {
+        "interpolation.csv": "88689c2b08db3fc41ba8fd992ba847169e07856ac9135d670d29ca0def043f74",
+        "block_distance.csv": "49fc235cda700f25a12cf9feda4ab4246d3f1ec9d1437c1bb65efdd0f32c6ef5",
+        "cka.csv": "9f1adc03e75a13d9b0a4c7dcfb10259c8d1dfa9b21375bd047582ea9cb155b26",
+    },
+    "er-fa": {
+        "interpolation.csv": "05d0b5506277fa44c223766d7f6a02c79f136e312499e860385762c548ce8382",
+        "block_distance.csv": "3fa4a95fa953d7cdde7e0a9343ef8c355a701355debb026363ccd867bdc6dece",
+        "cka.csv": "31a2d1fe597525270a6767a6caf828c17ee3577fea1aedb428a4a54b6ae64106",
+    },
+}
+
+
+def test_analysis_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    raw = small_config(
+        out,
+        strategies=["naive", "er-fa"],
+        model={"hidden": [9, 7], "activation": "relu"},
+        seeds=[0],
+        checkpoint_every=1,
+        analysis={"interpolation": {"n_points": 21}, "cka": {"probe_size": 24}},
+    )
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == harness.EXIT_OK
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    for strategy, files in ANALYSIS_GOLDEN_DIGESTS.items():
+        for name, digest in files.items():
+            data = (out / strategy / "seed0" / "analysis" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{name}"
+
+
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     trained = [
@@ -663,6 +698,62 @@ def test_analyze_torn_config_exit_2(tmp_path, capsys):
     (out / "config.json").write_text('{"schema')  # torn mid-write
     assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_CONFIG
     assert f"config error: unreadable {out / 'config.json'}" in capsys.readouterr().err
+
+
+def _rerun_configs(out):
+    """A 6-experience naive run checkpointed after every experience and
+    interpolated, and another config for the same directory that checkpoints
+    only at the end and analyses nothing."""
+    first = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=1,
+                         generator={**small_config(out)["generator"], "n": 6},
+                         analysis={"interpolation": {"enabled": True}})
+    second = {**first, "checkpoint_every": 0, "analysis": {},
+              "train": {**first["train"], "lr": 0.05}}
+    return ExperimentConfig.from_dict(first), ExperimentConfig.from_dict(second)
+
+
+def test_fresh_run_clears_an_earlier_runs_files(tmp_path):
+    out = tmp_path / "out"
+    first, second = _rerun_configs(out)
+    assert harness.run(first) == harness.EXIT_OK
+    (out / "naive" / "seed0" / "state" / "state_00009.json.tmp").write_text("{")
+    assert harness.run(second) == harness.EXIT_OK
+    cell = out / "naive" / "seed0"
+    assert sorted(p.name for p in (cell / "checkpoints").iterdir()) == [
+        "ckpt_00005.npz", "ckpt_init.npz"
+    ]
+    assert sorted(p.name for p in (cell / "state").iterdir()) == ["state_00005.json"]
+    assert not list((cell / "analysis").iterdir())  # the first run's interpolation.csv
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    lines = (cell / "analysis" / "block_distance.csv").read_text().splitlines()
+    assert lines[0] == f"# config_digest={second.digest()}"
+    assert {line.split(",")[0] for line in lines[2:]} == {"5"}
+
+
+def test_resume_after_a_fresh_run_over_an_earlier_one(tmp_path):
+    # the earlier run's newer states must not stand in the way of the resume
+    first, second = _rerun_configs(tmp_path / "out")
+    assert harness.run(first) == harness.EXIT_OK
+    assert harness.run(second, stop_after=2) == harness.EXIT_OK
+    assert harness.run(second, resume=True) == harness.EXIT_OK
+    assert harness.run(second, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    for name in ("metrics.csv", "checkpoints/ckpt_00005.npz", "state/state_00005.json"):
+        resumed = (tmp_path / "out" / "naive" / "seed0" / name).read_bytes()
+        assert resumed == (tmp_path / "whole" / "naive" / "seed0" / name).read_bytes(), name
+
+
+def test_analyze_refuses_another_configs_checkpoint(tmp_path, capsys):
+    first, second = _rerun_configs(tmp_path / "out")
+    assert harness.run(first, out_dir=tmp_path / "other") == harness.EXIT_OK
+    assert harness.run(second, out_dir=tmp_path / "out") == harness.EXIT_OK
+    foreign = tmp_path / "out" / "naive" / "seed0" / "checkpoints" / "ckpt_00002.npz"
+    shutil.copy(tmp_path / "other" / "naive" / "seed0" / "checkpoints" / foreign.name, foreign)
+    assert cli.main(["analyze", str(tmp_path / "out"), "--all"]) == harness.EXIT_RUNTIME
+    assert "analysis failed" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"]) == ("naive", 0)
+    assert str(foreign) in report["error"]
+    assert first.digest() in report["error"]
 
 
 def test_non_finite_csv_feature_exit_2(tmp_path, capsys):

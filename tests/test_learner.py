@@ -1,5 +1,7 @@
 import gc
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -114,13 +116,13 @@ def _log_uniform(draw, low, high):
 
 
 @st.composite
-def adversarial_logits(draw):
+def adversarial_logits(draw, shape=None):
     """Rows of logits with a top of magnitude 1e-3 to 700 at a random column;
     each other entry lies 1e-3 to 1400 below it, ties it exactly, is one to
     three floats below it (nextafter), lies within 2e-12 of it, or is nan or
     +-inf. Near-ties only collapse in exp() when the top is small, so the
-    magnitudes are log-uniform."""
-    n, c = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    magnitudes are log-uniform. ``shape`` fixes (rows, classes)."""
+    n, c = shape or (draw(st.integers(1, 5)), draw(st.integers(1, 8)))
     kinds = ("below", "below", "tie", "nextafter", "nextafter", "gap", "nan", "inf", "-inf")
     rows = []
     for _ in range(n):
@@ -163,6 +165,64 @@ def test_predict_labels_equals_softmax_argmax(logits, one_d):
             got = predict_labels(params, features)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
+
+
+@st.composite
+def stacked_logits(draw):
+    """(S, n, C) logits: S models' adversarial rows on one shared input."""
+    s, n, c = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    return np.stack([draw(adversarial_logits((n, c))) for _ in range(s)])
+
+
+@given(logits=stacked_logits(), one_d=st.booleans())
+@example(logits=np.array([[[0.5, 0.25], [0.0, np.nan]], [[1.0, 1.0], [np.inf, 0.0]]]),
+         one_d=False)
+@settings(max_examples=200, deadline=None)
+def test_stacked_predict_labels_equals_each_model(logits, one_d):
+    # the argmax, the near-tie test and the softmax fallback of a stacked call
+    # act on each model's rows as its own call does
+    s, _, c = logits.shape
+    if one_d:
+        logits, features = logits[:, :1], np.zeros(c)
+    else:
+        features = np.zeros((logits.shape[1], c))
+    stacked = ModelParams(weights=[np.zeros((s, c, c))], biases=[np.zeros((s, c))])
+    alone = ModelParams(weights=[np.zeros((c, c))], biases=[np.zeros(c)])
+    with np.errstate(invalid="ignore"):
+        with mock.patch.object(learner, "_forward", lambda p, x: (None, None, logits)):
+            got = predict_labels(stacked, features)
+        for k in range(s):
+            with mock.patch.object(learner, "_forward", lambda p, x: (None, None, logits[k])):
+                want = predict_labels(alone, features)
+            assert np.shape(got[k]) == np.shape(want)
+            assert np.array_equal(got[k], want)
+    assert got.shape == ((s,) if one_d else logits.shape[:2])
+
+
+@given(
+    activation=st.sampled_from(["relu", "tanh"]),
+    hidden=st.lists(st.integers(1, 64), max_size=2),
+    dims=st.tuples(st.integers(1, 20), st.integers(2, 60)),
+    n_models=st.integers(1, 16),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_stacked_forward_labels_equal_each_model(activation, hidden, dims, n_models, rows, seed):
+    rng = np.random.default_rng(seed)
+    d, c = dims
+    models = [init_params(d, tuple(hidden), c, activation, rng) for _ in range(n_models)]
+    for m in models:
+        for b in m.biases:
+            b += rng.normal(size=b.shape)
+    stacked = _stack(models)
+    assert (stacked.dim_in, stacked.num_classes) == (d, c)
+    x = rng.normal(size=(rows, d))
+    labels = predict_labels(stacked, x)
+    assert labels.shape == (n_models, rows)
+    for k, m in enumerate(models):
+        assert np.array_equal(labels[k], predict_labels(m, x))
+        assert np.array_equal(predict_labels(stacked, x[0])[k], predict_labels(m, x[0]))
 
 
 def _stack(models):
@@ -453,3 +513,81 @@ class TestCheckpoints:
             gc.collect()
         assert str(path) in message
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@st.composite
+def checkpoint_params(draw):
+    """relu or tanh parameters of 1-3 layers, with nonzero biases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    activation = draw(st.sampled_from(["relu", "tanh"]))
+    params = init_params(draw(st.integers(1, 6)), hidden, draw(st.integers(2, 6)), activation, rng)
+    for b in params.biases:
+        b += rng.normal(size=b.shape)
+    return params
+
+
+def _saved_blob(params, path, index=3) -> bytes:
+    save_checkpoint(snapshot(params, index, config_digest="d"), path)
+    return path.read_bytes()
+
+
+def _assert_same_params(got: ModelParams, want: ModelParams) -> None:
+    assert got.activation == want.activation
+    assert len(got.weights) == len(want.weights) and len(got.biases) == len(want.biases)
+    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@given(params=checkpoint_params(), index=st.integers(-1, 10**6))
+@settings(max_examples=4, deadline=None)
+def test_checkpoint_reader_equals_np_load_and_refuses_every_prefix(params, index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.npz"
+        blob = _saved_blob(params, path, index)
+        loaded = load_checkpoint(path)
+        assert loaded.experience_index == index and loaded.meta == {"config_digest": "d"}
+        with np.load(path) as data:
+            want = ModelParams(
+                weights=[data[f"w{i}"] for i in range(len(params.weights))],
+                biases=[data[f"b{i}"] for i in range(len(params.biases))],
+                activation=params.activation,
+            )
+        _assert_same_params(loaded.params, want)
+        _assert_same_params(loaded.params, params)
+        # --resume trains on the loaded arrays in place
+        assert all(a.flags.writeable for a in loaded.params.weights + loaded.params.biases)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for end in range(len(blob)):
+                path.write_bytes(blob[:end])
+                try:
+                    load_checkpoint(path)
+                except CheckpointError:
+                    continue
+                raise AssertionError(f"a {end}-byte prefix of {len(blob)} loaded")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@given(params=checkpoint_params(), mask=st.integers(1, 255))
+# sets the encrypted and strong-encryption flags, and a version past zipfile's
+@example(params=ModelParams(weights=[np.eye(2)], biases=[np.ones(2)]), mask=0x41)
+@settings(max_examples=3, deadline=None)
+def test_checkpoint_with_a_flipped_byte_is_refused_or_unchanged(params, mask):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.npz"
+        blob = _saved_blob(params, path)
+        for at in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[at] ^= mask
+            path.write_bytes(flipped)
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError:
+                continue
+            # only bytes that no reader looks at (a timestamp, say) may change
+            _assert_same_params(loaded.params, params)
+            assert loaded.experience_index == 3 and loaded.meta == {"config_digest": "d"}
