@@ -14,9 +14,12 @@ Per-component RNG streams are derived from (run seed, component name), so
 the stream a strategy sees never depends on the strategy itself.
 """
 
+import contextlib
 import functools
 import json
 import os
+import re
+import shutil
 import statistics
 import time
 import traceback
@@ -270,6 +273,7 @@ class Cell:
             *paths.checkpoints.glob("ckpt_*.npz"),
             *paths.states.glob("state_*.json"),
             *paths.analysis_dir.glob("*.csv"),
+            *paths.analysis_dir.glob("*.tmp"),
             *paths.root.glob("*.tmp"),
             *paths.states.glob("*.tmp"),
         ]:
@@ -437,10 +441,15 @@ def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write aside, then rename: a crash leaves the old file or the new one."""
+    """Write aside, then rename: a crash leaves the old file or the new one,
+    and a failed write removes what it wrote aside."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_flushed(f, text: str) -> None:
@@ -479,6 +488,10 @@ def run(
         out / "config.json",
         json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
     )
+    # an earlier run's failure report would mark this run's outputs incomplete
+    (out / "error_report.json").unlink(missing_ok=True)
+    if not resume:
+        _remove_stale_cells(out, cfg)
 
     running = {}  # the (strategy, seed) being run, for the error report
     try:
@@ -507,6 +520,27 @@ def run(
         _write_error_report(out, exc, digest, **running)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _remove_stale_cells(out: Path, cfg: ExperimentConfig) -> None:
+    """A fresh run owns its output directory's cells: remove each cell that
+    its grid does not list, and a strategy directory that this leaves empty.
+    A cell is a ``<name>/seed<k>/`` directory whose ``metrics.csv`` carries
+    a config digest; any other directory is left alone."""
+    grid = {cell_dir(out, s, seed).root for s in cfg.strategies for seed in cfg.seeds}
+    for root in out.glob("*/seed*"):
+        if root in grid or not re.fullmatch(r"seed-?\d+", root.name) or root.is_symlink():
+            continue
+        stamp = b"# config_digest="
+        try:
+            with open(CellPaths(root).metrics_csv, "rb") as f:
+                if f.read(len(stamp)) != stamp:
+                    continue
+        except OSError:
+            continue
+        shutil.rmtree(root)
+        with contextlib.suppress(OSError):  # the strategy directory holds more
+            root.parent.rmdir()
 
 
 def _lockstep_groups(strategies) -> list[list[str]]:
@@ -674,11 +708,17 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     if not (do_interp or do_blocks or do_cka):
         return EXIT_OK
 
-    train_set, test_set = load_inputs(cfg)
-    probe_rng = np.random.default_rng(spec.cka_probe_seed)
-    probe_size = min(spec.cka_probe_size, len(test_set))
-    probe = test_set.features[probe_rng.choice(len(test_set), size=probe_size, replace=False)]
-    stream_for = functools.cache(lambda seed: build_stream(cfg, train_set, seed)[0])
+    @functools.cache
+    def inputs() -> tuple[LabeledDataset, np.ndarray]:
+        # (train set, CKA probe), built when a cell first reads them:
+        # block distance reads checkpoints alone
+        train_set, test_set = load_inputs(cfg)
+        probe_rng = np.random.default_rng(spec.cka_probe_seed)
+        probe_size = min(spec.cka_probe_size, len(test_set))
+        rows = probe_rng.choice(len(test_set), size=probe_size, replace=False)
+        return train_set, test_set.features[rows]
+
+    stream_for = functools.cache(lambda seed: build_stream(cfg, inputs()[0], seed)[0])
 
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
@@ -700,11 +740,14 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
                 init = next((ck for ck in ckpts if ck.experience_index < 0), None)
 
                 if do_interp and len(trained) >= 2:
-                    _write_interpolation(paths, trained, stream_for(seed), train_set, spec, digest)
+                    stream, train_set = stream_for(seed), inputs()[0]
+                    _write_interpolation(paths, trained, stream, train_set, spec, digest)
                 if do_blocks and init is not None:
                     _write_block_distance(paths, init, trained, digest)
                 if do_cka and len(trained) >= 2:
-                    _write_cka(paths, trained, probe, digest)
+                    _write_cka(paths, trained, inputs()[1], digest)
+            except ConfigError:  # the inputs could not be built: not a cell's failure
+                raise
             except Exception as exc:  # runtime failure of one cell: report it and stop
                 _write_error_report(run_dir, exc, digest, strategy=strategy, seed=seed)
                 return EXIT_RUNTIME
@@ -723,47 +766,48 @@ def _load_run_checkpoint(path: Path, digest: str) -> learner.Checkpoint:
     return ck
 
 
+# Each analysis CSV is built in memory and written aside, then renamed into
+# place: a cell that fails mid-way leaves no torn CSV under the final name.
+
+
 def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> None:
-    with open(paths.analysis_dir / "interpolation.csv", "w", encoding="utf-8") as f:
-        f.write(f"# config_digest={digest}\n")
-        f.write("pair_id,alpha,accuracy,experience_a,experience_b\n")
-        for ck_a, ck_b in zip(trained[:-1], trained[1:]):
-            exp = stream.experiences[ck_a.experience_index]
-            if len(exp) == 0:
-                continue
-            x = train_set.features[exp.train_instances]
-            y = train_set.labels[exp.train_instances]
-            curve = ana.interpolate_checkpoints(ck_a, ck_b, spec.interpolation_points, x, y)
-            pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
-            for alpha, acc in zip(curve.alphas, curve.accuracies):
-                f.write(
-                    f"{pair},{alpha:.6f},{acc:.6f},"
-                    f"{ck_a.experience_index},{ck_b.experience_index}\n"
-                )
+    lines = [f"# config_digest={digest}\n", "pair_id,alpha,accuracy,experience_a,experience_b\n"]
+    for ck_a, ck_b in zip(trained[:-1], trained[1:]):
+        exp = stream.experiences[ck_a.experience_index]
+        if len(exp) == 0:
+            continue
+        x = train_set.features[exp.train_instances]
+        y = train_set.labels[exp.train_instances]
+        curve = ana.interpolate_checkpoints(ck_a, ck_b, spec.interpolation_points, x, y)
+        pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
+        for alpha, acc in zip(curve.alphas, curve.accuracies):
+            lines.append(
+                f"{pair},{alpha:.6f},{acc:.6f},"
+                f"{ck_a.experience_index},{ck_b.experience_index}\n"
+            )
+    _write_atomic(paths.analysis_dir / "interpolation.csv", "".join(lines))
 
 
 def _write_block_distance(paths, init, trained, digest) -> None:
-    with open(paths.analysis_dir / "block_distance.csv", "w", encoding="utf-8") as f:
-        f.write(f"# config_digest={digest}\n")
-        f.write("experience_index,block,distance\n")
-        for ck in trained:
-            report = ana.block_distance(init.params, ck.params)
-            for name, dist in zip(report.block_names, report.distances):
-                value = "" if dist is None else f"{dist:.6f}"
-                f.write(f"{ck.experience_index},{name},{value}\n")
+    lines = [f"# config_digest={digest}\n", "experience_index,block,distance\n"]
+    for ck in trained:
+        report = ana.block_distance(init.params, ck.params)
+        for name, dist in zip(report.block_names, report.distances):
+            value = "" if dist is None else f"{dist:.6f}"
+            lines.append(f"{ck.experience_index},{name},{value}\n")
+    _write_atomic(paths.analysis_dir / "block_distance.csv", "".join(lines))
 
 
 def _write_cka(paths, trained, probe, digest) -> None:
-    with open(paths.analysis_dir / "cka.csv", "w", encoding="utf-8") as f:
-        f.write(f"# config_digest={digest}\n")
-        f.write("pair_id,layer_x,layer_y,value\n")
-        # each checkpoint is prepared once; only the pair at hand is held
-        prepared_b = ana.prepare_cka(trained[0].params, probe)
-        for ck_a, ck_b in zip(trained[:-1], trained[1:]):
-            prepared_a = prepared_b
-            prepared_b = ana.prepare_cka(ck_b.params, probe)
-            matrix = ana.cka_prepared_matrix(prepared_a, prepared_b)
-            pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
-            for i in range(matrix.shape[0]):
-                for j in range(matrix.shape[1]):
-                    f.write(f"{pair},layer{i},layer{j},{matrix[i, j]:.6f}\n")
+    lines = [f"# config_digest={digest}\n", "pair_id,layer_x,layer_y,value\n"]
+    # each checkpoint is prepared once; only the pair at hand is held
+    prepared_b = ana.prepare_cka(trained[0].params, probe)
+    for ck_a, ck_b in zip(trained[:-1], trained[1:]):
+        prepared_a = prepared_b
+        prepared_b = ana.prepare_cka(ck_b.params, probe)
+        matrix = ana.cka_prepared_matrix(prepared_a, prepared_b)
+        pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
+        for i in range(matrix.shape[0]):
+            for j in range(matrix.shape[1]):
+                lines.append(f"{pair},layer{i},layer{j},{matrix[i, j]:.6f}\n")
+    _write_atomic(paths.analysis_dir / "cka.csv", "".join(lines))

@@ -261,14 +261,13 @@ def _separated_centers(num_classes, dim, rng, min_sep: float = 3.0) -> np.ndarra
 
 
 def _sample_clusters(centers, per_class, spread, rng) -> LabeledDataset:
+    # one draw fills the classes in order, as a draw per class would; the
+    # centres are added in place (IEEE addition commutes, so the bytes match)
     num_classes, dim = centers.shape
-    features = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        rows = slice(c * per_class, (c + 1) * per_class)
-        features[rows] = centers[c] + rng.normal(scale=spread, size=(per_class, dim))
-        labels[rows] = c
-    return LabeledDataset(features, labels, num_classes)
+    features = rng.normal(scale=spread, size=(num_classes, per_class, dim))
+    features += centers[:, None, :]
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    return LabeledDataset(features.reshape(-1, dim), labels, num_classes)
 
 
 @dataclass

@@ -238,17 +238,79 @@ def test_stopped_and_resumed_grid_writes_the_uninterrupted_summary(tmp_path):
     assert set(summaries[1]["strategies"]) == set(strategies)
 
 
+def _count_input_builds(monkeypatch) -> list[str]:
+    """Patch ``harness.load_inputs`` to record the config digest of every call."""
+    digests = []
+    original = harness.load_inputs
+
+    def counting(cfg):
+        digests.append(cfg.digest())
+        return original(cfg)
+
+    monkeypatch.setattr(harness, "load_inputs", counting)
+    return digests
+
+
 def test_analyze_builds_streams_only_for_interpolation(tmp_path, monkeypatch):
-    out = tmp_path / "out"
+    out, lone = tmp_path / "out", tmp_path / "lone"
     raw = small_config(out, seeds=[0, 1], checkpoint_every=3,
                        analysis={"block_distance": {"enabled": True},
                                  "cka": {"enabled": True, "probe_size": 16}})
     assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    # checkpointed only at the end: one trained checkpoint per cell, no pair
+    lone_cfg = ExperimentConfig.from_dict({**raw, "checkpoint_every": 0})
+    assert harness.run(lone_cfg, out_dir=lone) == harness.EXIT_OK
     seeds = _count_stream_builds(monkeypatch)
+    loads = _count_input_builds(monkeypatch)
+    assert harness.analyze(lone, force_all=True) == harness.EXIT_OK
+    assert (seeds, loads) == ([], [])  # block distance reads checkpoints alone
     assert harness.analyze(out) == harness.EXIT_OK
     assert seeds == []
+    assert len(loads) == 1  # the CKA probe, built once for all four cells
+    loads.clear()
     assert harness.analyze(out, force_all=True) == harness.EXIT_OK
     assert sorted(seeds) == [0, 1]  # interpolation: once per seed, not per cell
+    assert len(loads) == 1  # one dataset for both seeds' streams and the probe
+
+
+def _csv_run_without_its_files(tmp_path, analysis) -> tuple[Path, Path]:
+    """(run dir, train CSV) of a finished CSV-dataset run with checkpoint
+    pairs, after its CSV files and analysis outputs were deleted."""
+    from cirsim.stream import make_synthetic_dataset, save_dataset_csv
+
+    train, test = make_synthetic_dataset(4, 20, 5, 0.4, np.random.default_rng(0))
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    save_dataset_csv(train, train_csv)
+    save_dataset_csv(test, test_csv)
+    out = tmp_path / "out"
+    raw = small_config(
+        out, dataset={"kind": "csv", "train_path": str(train_csv), "test_path": str(test_csv)},
+        strategies=["naive"], seeds=[0], checkpoint_every=2, analysis=analysis,
+    )
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    for path in [train_csv, test_csv, *out.glob("*/seed*/analysis/*.csv")]:
+        path.unlink()
+    return out, train_csv
+
+
+def test_block_distance_alone_needs_no_dataset_files(tmp_path):
+    out, _ = _csv_run_without_its_files(tmp_path, {"block_distance": {"enabled": True}})
+    assert cli.main(["analyze", str(out)]) == harness.EXIT_OK
+    lines = (out / "naive" / "seed0" / "analysis" / "block_distance.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[2:]} == {"1", "3", "5", "7"}
+
+
+@pytest.mark.parametrize("analysis", [
+    {"interpolation": {"enabled": True}},
+    {"cka": {"enabled": True, "probe_size": 16}},
+])
+def test_analysis_of_a_pair_without_dataset_files_exit_2(tmp_path, capsys, analysis):
+    out, train_csv = _csv_run_without_its_files(tmp_path, analysis)
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out)]) == harness.EXIT_CONFIG
+    assert str(train_csv) in capsys.readouterr().err
+    assert not (out / "error_report.json").exists()  # not a cell's failure
+    assert not list(out.glob("*/seed*/analysis/*"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -273,6 +335,57 @@ def test_runtime_failure_report_names_the_cell(tmp_path):
     assert "TrainingDiverged" in report["error"]
     assert (report["strategy"], report["seed"]) == ("naive", 0)  # the grid's first cell
     assert sorted(p.relative_to(out).as_posix() for p in out.glob("*/seed*")) == ["naive/seed0"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("resume", [False, True])
+def test_successful_run_removes_an_earlier_error_report(tmp_path, resume):
+    out = tmp_path / "out"
+    diverging = small_config(out, train={"lr": 1e9, "epochs_per_experience": 5,
+                                         "batch_size": 16, "replay_mix": 0.5})
+    assert harness.run(ExperimentConfig.from_dict(diverging)) == harness.EXIT_RUNTIME
+    assert json.loads((out / "error_report.json").read_text())["incomplete"] is True
+    # the diverged cell saved no state, so a resume starts every cell afresh
+    sane = ExperimentConfig.from_dict(small_config(out))
+    assert harness.run(sane, resume=resume) == harness.EXIT_OK
+    assert not (out / "error_report.json").exists()
+
+
+def _cells(out: Path) -> list[str]:
+    return sorted(p.relative_to(out).as_posix() for p in out.glob("*/seed*"))
+
+
+def test_fresh_run_removes_cells_outside_its_grid(tmp_path):
+    out = tmp_path / "out"
+    wide = ExperimentConfig.from_dict(small_config(out, seeds=[0, 1]))
+    narrow = ExperimentConfig.from_dict(small_config(out, strategies=["naive"], seeds=[0]))
+    assert harness.run(narrow, stop_after=3) == harness.EXIT_OK
+    assert harness.run(wide, out_dir=tmp_path / "wide") == harness.EXIT_OK
+    for cell in ("er-rs/seed0", "er-rs/seed1", "naive/seed1"):
+        shutil.copytree(tmp_path / "wide" / cell, out / cell)
+    assert harness.run(narrow, resume=True) == harness.EXIT_OK  # a resume keeps them
+    assert _cells(out) == ["er-rs/seed0", "er-rs/seed1", "naive/seed0", "naive/seed1"]
+    assert harness.run(narrow) == harness.EXIT_OK
+    assert _cells(out) == ["naive/seed0"]
+    assert not (out / "er-rs").exists()  # left empty, so removed
+    assert harness.analyze(out, force_all=True) == harness.EXIT_OK
+
+
+def test_fresh_run_leaves_directories_that_are_not_cells(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(out, strategies=["naive"], seeds=[0]))
+    unrelated = {
+        "notes/todo.txt": "read the paper again\n",
+        "notes/seed3/metrics.csv": "experience_index,ta\n",  # no config digest
+        "er-rs/seed1/summary.txt": "kept\n",  # no metrics.csv
+        "er-rs/seedling/metrics.csv": "# config_digest=0\n",  # not seed<k>
+    }
+    for name, text in unrelated.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+    assert harness.run(cfg) == harness.EXIT_OK
+    for name, text in unrelated.items():
+        assert (out / name).read_text() == text
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
@@ -700,6 +813,46 @@ def test_analyze_torn_config_exit_2(tmp_path, capsys):
     assert f"config error: unreadable {out / 'config.json'}" in capsys.readouterr().err
 
 
+def test_analysis_failing_mid_file_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=1)
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    calls, original = [], analysis._cka
+
+    def failing(side_x, side_y):
+        calls.append(None)
+        if len(calls) > 8:  # well inside the first cell's CKA matrices
+            raise RuntimeError("injected fault")
+        return original(side_x, side_y)
+
+    monkeypatch.setattr(analysis, "_cka", failing)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    assert "analysis failed" in capsys.readouterr().err
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"]) == ("naive", 0)
+    assert "injected fault" in report["error"]
+    adir = out / "naive" / "seed0" / "analysis"
+    assert sorted(p.name for p in adir.iterdir()) == ["block_distance.csv", "interpolation.csv"]
+    monkeypatch.setattr(analysis, "_cka", original)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    lines = (adir / "cka.csv").read_text().splitlines()
+    assert len(lines) == 2 + 7 * 4  # 7 pairs of a 2 x 2 layer matrix
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_removes_its_tmp(tmp_path, monkeypatch):
+    path = tmp_path / "summary.json"
+    path.write_text("old")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        harness._write_atomic(path, "new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+    assert path.read_text() == "old"
+
+
 def _rerun_configs(out):
     """A 6-experience naive run checkpointed after every experience and
     interpolated, and another config for the same directory that checkpoints
@@ -717,6 +870,7 @@ def test_fresh_run_clears_an_earlier_runs_files(tmp_path):
     first, second = _rerun_configs(out)
     assert harness.run(first) == harness.EXIT_OK
     (out / "naive" / "seed0" / "state" / "state_00009.json.tmp").write_text("{")
+    (out / "naive" / "seed0" / "analysis" / "cka.csv.tmp").write_text("pair_id")
     assert harness.run(second) == harness.EXIT_OK
     cell = out / "naive" / "seed0"
     assert sorted(p.name for p in (cell / "checkpoints").iterdir()) == [

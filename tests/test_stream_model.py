@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cirsim.learner import TrainConfig, accuracy, init_params, train_on_experience
@@ -13,6 +13,7 @@ from cirsim.stream import (
     LabeledDataset,
     Provenance,
     Stream,
+    _separated_centers,
     load_dataset_csv,
     make_experience,
     make_synthetic_dataset,
@@ -59,6 +60,64 @@ def test_synthetic_rejects_bad_sizes():
         make_synthetic_dataset(3, 0, 4, 0.1, rng)
     with pytest.raises(ValueError):
         make_synthetic_dataset(3, 10, 1, 0.1, rng)
+
+
+def _clusters_class_by_class(centers, per_class, spread, rng) -> LabeledDataset:
+    """Oracle: each class's cluster drawn on its own, in class order."""
+    num_classes, dim = centers.shape
+    features = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for c in range(num_classes):
+        rows = slice(c * per_class, (c + 1) * per_class)
+        features[rows] = centers[c] + rng.normal(scale=spread, size=(per_class, dim))
+        labels[rows] = c
+    return LabeledDataset(features, labels, num_classes)
+
+
+@st.composite
+def _cluster_shapes(draw):
+    if draw(st.integers(0, 2)) == 0:  # crowded: dim-2 centres are rejected, min_sep relaxes
+        return draw(st.integers(20, 40)), 2
+    return draw(st.integers(2, 120)), draw(st.integers(2, 20))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=_cluster_shapes(),
+    per_class=st.integers(1, 12),
+    spread=st.floats(0.01, 5.0),
+    test_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**63),
+)
+@example(shape=(120, 2), per_class=12, spread=0.5, test_fraction=0.5, seed=0)
+@example(shape=(2, 20), per_class=1, spread=5.0, test_fraction=0.0, seed=1)
+def test_synthetic_dataset_equals_class_by_class_draws(shape, per_class, spread,
+                                                       test_fraction, seed):
+    num_classes, dim = shape
+    rng = np.random.default_rng(seed)
+    got = make_synthetic_dataset(num_classes, per_class, dim, spread, rng, test_fraction)
+    oracle_rng = np.random.default_rng(seed)
+    centers = _separated_centers(num_classes, dim, oracle_rng)
+    want = [
+        _clusters_class_by_class(centers, n, spread, oracle_rng)
+        for n in (per_class, max(1, round(test_fraction * per_class)))
+    ]
+    for g, w in zip(got, want):
+        assert g.num_classes == w.num_classes
+        assert g.features.dtype == w.features.dtype and g.features.shape == w.features.shape
+        assert g.features.tobytes() == w.features.tobytes()
+        assert g.labels.dtype == w.labels.dtype
+        assert g.labels.tobytes() == w.labels.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_crowded_dim_2_centres_relax_their_separation():
+    # the crowded example above does reach the relaxing branch: two of its
+    # centres lie closer than the initial min_sep of 3.0
+    centers = _separated_centers(120, 2, np.random.default_rng(0))
+    gaps = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() < 3.0
 
 
 def test_per_class_index_partitions_dataset():
