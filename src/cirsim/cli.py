@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import harness
+from . import files, harness
 from .config import ConfigError, default_config, load_config, resolve_output_dir
 
 
@@ -76,9 +76,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "init":
-            with open(args.out, "w", encoding="utf-8") as f:
-                json.dump(default_config(), f, indent=1)
-                f.write("\n")
+            files.write_atomic(args.out, json.dumps(default_config(), indent=1) + "\n")
             print(f"wrote example config to {args.out}")
             return harness.EXIT_OK
 

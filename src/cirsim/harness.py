@@ -6,9 +6,9 @@ across all experiences, evaluates after each one, and writes a
 metrics CSV, a buffer trace, the stream manifest and parameter checkpoints.
 Cells run seed by seed and experience by experience; a seed's replay cells
 train in lockstep, as one stacked model, which changes no output byte.
-Metric rows are appended as they are produced (crash-safe), every output
-carries the config digest, and runs are resumable at experience granularity
-from the latest checkpointed state.
+Metric rows are appended as they are produced, every other file lands whole
+(``files.write_atomic``), every output carries the config digest, and runs
+are resumable at experience granularity from the latest checkpointed state.
 
 Per-component RNG streams are derived from (run seed, component name), so
 the stream a strategy sees never depends on the strategy itself.
@@ -17,7 +17,6 @@ the stream a strategy sees never depends on the strategy itself.
 import contextlib
 import functools
 import json
-import os
 import re
 import shutil
 import statistics
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as ana
-from . import learner, metrics
+from . import files, learner, metrics
 from .buffers import ReplayBuffer
 from .config import ConfigError, ExperimentConfig
 from .sampling_generator import build_occurrence_matrix, realize_stream
@@ -185,17 +184,17 @@ def _truncate_csv(path: Path, max_experience: int) -> None:
             first = line.split(",", 1)[0]
             if line.startswith("#") or not first.isdigit() or int(first) <= max_experience:
                 kept.append(line)
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(kept)
+    files.write_atomic(path, "".join(kept))
 
 
 class Cell:
     """One (strategy, seed) cell, trained over ``stream``, the seed's stream
     from ``build_stream``, as a step object.
 
-    ``start()`` resumes the cell from its newest good state, or writes its
-    headers and initial checkpoint; either way it writes ``manifest``, the
-    text of the stream's manifest, and opens its CSVs. The caller
+    ``start()`` removes the ``*.tmp`` files a kill left in the cell, then
+    resumes the cell from its newest good state, or writes its headers and
+    initial checkpoint; either way it writes ``manifest``, the text of the
+    stream's manifest, and opens its CSVs to append. The caller
     then trains ``params`` on each experience from ``start_index`` on, with
     ``train_rng`` and ``buffer``, and hands the experience to ``step(exp)``:
     buffer update, evaluation, CSV rows, and at checkpoint points the
@@ -240,6 +239,8 @@ class Cell:
         self.buffer_rng = derive_rng(seed, "buffer")
         self.seen: set[int] = set()
 
+        for tmp in list(paths.root.rglob("*.tmp")):  # left by a kill
+            tmp.unlink()
         point = _load_resume_point(paths) if self.resume else None
         if point is not None:
             latest, state, self.params = point
@@ -254,7 +255,6 @@ class Cell:
                     f"(digest {state['config_digest']} != {digest})"
                 )
             _check_dataset_unchanged(paths.manifest, self.stream.dataset_ref)
-            _write_atomic(paths.manifest, self.manifest)
             if state["buffer"] is not None:
                 self.buffer = ReplayBuffer.from_state(state["buffer"])
             self.train_rng = _restore_rng(state["train_rng"])
@@ -263,48 +263,40 @@ class Cell:
             self.start_index = state["next_experience"]
             _truncate_csv(paths.metrics_csv, latest)
             _truncate_csv(paths.buffer_trace_csv, latest)
-            self._open_csvs("a")
-            return
-
-        # a fresh start owns the cell's directory: an earlier run's
-        # checkpoints, states and analysis would mislead a later analyze,
-        # resume or reader
-        for stale in [
-            *paths.checkpoints.glob("ckpt_*.npz"),
-            *paths.states.glob("state_*.json"),
-            *paths.analysis_dir.glob("*.csv"),
-            *paths.analysis_dir.glob("*.tmp"),
-            *paths.root.glob("*.tmp"),
-            *paths.states.glob("*.tmp"),
-        ]:
-            stale.unlink()
-        self.params = learner.init_params(
-            self.train_set.dim,
-            cfg.model.hidden,
-            self.train_set.num_classes,
-            cfg.model.activation,
-            derive_rng(seed, "learner-init"),
-        )
-        _write_atomic(paths.manifest, self.manifest)
-        learner.save_checkpoint(
-            learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
-        )
-        self._open_csvs("w")
-        _write_flushed(
-            self._metrics_csv,
-            f"# config_digest={digest}\n" + metrics.csv_header(self.train_set.num_classes),
-        )
-        if self.buffer is not None:
-            _write_flushed(
-                self._trace_csv,
-                f"# config_digest={digest}\n"
-                "experience_index,class_id,stored_count,observation_count,quota\n",
+        else:
+            # a fresh start owns the cell's directory: an earlier run's
+            # checkpoints, states and analysis would mislead a later analyze,
+            # resume or reader
+            for stale in [
+                *paths.checkpoints.glob("ckpt_*.npz"),
+                *paths.states.glob("state_*.json"),
+                *paths.analysis_dir.glob("*.csv"),
+            ]:
+                stale.unlink()
+            self.params = learner.init_params(
+                self.train_set.dim,
+                cfg.model.hidden,
+                self.train_set.num_classes,
+                cfg.model.activation,
+                derive_rng(seed, "learner-init"),
             )
-
-    def _open_csvs(self, mode: str) -> None:
-        self._metrics_csv = open(self.paths.metrics_csv, mode, encoding="utf-8")
+            learner.save_checkpoint(
+                learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
+            )
+            files.write_atomic(
+                paths.metrics_csv,
+                f"# config_digest={digest}\n" + metrics.csv_header(self.train_set.num_classes),
+            )
+            if self.buffer is not None:
+                files.write_atomic(
+                    paths.buffer_trace_csv,
+                    f"# config_digest={digest}\n"
+                    "experience_index,class_id,stored_count,observation_count,quota\n",
+                )
+        files.write_atomic(paths.manifest, self.manifest)
+        self._metrics_csv = open(paths.metrics_csv, "a", encoding="utf-8")
         if self.buffer is not None:
-            self._trace_csv = open(self.paths.buffer_trace_csv, mode, encoding="utf-8")
+            self._trace_csv = open(paths.buffer_trace_csv, "a", encoding="utf-8")
 
     def step(self, exp) -> None:
         """Record experience ``exp``, which the caller has trained ``params`` on."""
@@ -348,7 +340,7 @@ class Cell:
                 "buffer_rng": _rng_state(self.buffer_rng),
                 "buffer": None if self.buffer is None else self.buffer.to_state(),
             }
-            _write_atomic(paths.state_file(exp.index), json.dumps(state))
+            files.write_atomic(paths.state_file(exp.index), json.dumps(state))
         self.done = is_last or stopping
 
     def finish(self) -> None:
@@ -440,18 +432,6 @@ def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
         )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write aside, then rename: a crash leaves the old file or the new one,
-    and a failed write removes what it wrote aside."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_flushed(f, text: str) -> None:
     f.write(text)
     f.flush()
@@ -484,12 +464,14 @@ def run(
 
     out.mkdir(parents=True, exist_ok=True)
     digest = cfg.digest()
-    _write_atomic(
+    files.write_atomic(
         out / "config.json",
         json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
     )
-    # an earlier run's failure report would mark this run's outputs incomplete
-    (out / "error_report.json").unlink(missing_ok=True)
+    # an earlier run's failure report would mark this run's outputs
+    # incomplete; a kill leaves <name>.tmp files
+    for stale in [out / "error_report.json", *out.glob("*.tmp")]:
+        stale.unlink(missing_ok=True)
     if not resume:
         _remove_stale_cells(out, cfg)
 
@@ -517,7 +499,7 @@ def run(
     except ConfigError:
         raise
     except Exception as exc:  # runtime failure: structured report, partial outputs marked
-        _write_error_report(out, exc, digest, **running)
+        _write_error_report(out, "run", exc, digest, **running)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -558,15 +540,16 @@ def _lockstep_groups(strategies) -> list[list[str]]:
     return groups
 
 
-def _write_error_report(out: Path, exc: Exception, digest: str, **cell) -> None:
+def _write_error_report(out: Path, command: str, exc: Exception, digest: str, **cell) -> None:
     report = {
+        "command": command,
         "error": repr(exc),
         "traceback": "".join(traceback.format_exception(exc)),
         "config_digest": digest,
         "incomplete": True,
         **cell,
     }
-    (out / "error_report.json").write_text(json.dumps(report, indent=1) + "\n")
+    files.write_atomic(out / "error_report.json", json.dumps(report, indent=1) + "\n")
 
 
 def _agg(values: list[float | None]) -> dict | None:
@@ -608,7 +591,7 @@ def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
         if cut_short:
             entry["incomplete_cells"] = cut_short
         summary["strategies"][strategy] = entry
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=1) + "\n")
+    files.write_atomic(out / "summary.json", json.dumps(summary, indent=1) + "\n")
 
 
 # -- stream inspection ------------------------------------------------------------
@@ -663,16 +646,15 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         matrix = occurrence.matrix if occurrence is not None else presence
         _write_matrix_csv(out / "occurrence.csv", matrix, cfg.digest())
-        (out / "inspect.json").write_text(json.dumps(report, indent=1) + "\n")
+        files.write_atomic(out / "inspect.json", json.dumps(report, indent=1) + "\n")
     return report
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# config_digest={digest}\n")
-        f.write("class," + ",".join(f"e{i}" for i in range(matrix.shape[1])) + "\n")
-        for cls in range(matrix.shape[0]):
-            f.write(f"{cls}," + ",".join(str(int(v)) for v in matrix[cls]) + "\n")
+    header = "class," + ",".join(f"e{i}" for i in range(matrix.shape[1]))
+    lines = [f"# config_digest={digest}", header]
+    lines += [f"{cls}," + ",".join(str(int(v)) for v in row) for cls, row in enumerate(matrix)]
+    files.write_atomic(path, "\n".join(lines) + "\n")
 
 
 # -- post-hoc analysis --------------------------------------------------------------
@@ -688,6 +670,13 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     ``error_report.json`` naming the cell, and returns ``EXIT_RUNTIME``.
     """
     run_dir = Path(run_dir)
+    # an earlier analyze's report would outlive this one's success; a run's
+    # report stays, as it marks the outputs analysed here as partial
+    report_path = run_dir / "error_report.json"
+    with contextlib.suppress(OSError, ValueError):
+        report = json.loads(report_path.read_bytes())
+        if isinstance(report, dict) and report.get("command") == "analyze":
+            report_path.unlink()
     config_path = run_dir / "config.json"
     if not config_path.exists():
         raise ConfigError(f"no config.json in {run_dir}")
@@ -749,7 +738,7 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
             except ConfigError:  # the inputs could not be built: not a cell's failure
                 raise
             except Exception as exc:  # runtime failure of one cell: report it and stop
-                _write_error_report(run_dir, exc, digest, strategy=strategy, seed=seed)
+                _write_error_report(run_dir, "analyze", exc, digest, strategy=strategy, seed=seed)
                 return EXIT_RUNTIME
     return EXIT_OK
 
@@ -764,10 +753,6 @@ def _load_run_checkpoint(path: Path, digest: str) -> learner.Checkpoint:
             f"not by this run's config {digest}"
         )
     return ck
-
-
-# Each analysis CSV is built in memory and written aside, then renamed into
-# place: a cell that fails mid-way leaves no torn CSV under the final name.
 
 
 def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> None:
@@ -785,7 +770,7 @@ def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> Non
                 f"{pair},{alpha:.6f},{acc:.6f},"
                 f"{ck_a.experience_index},{ck_b.experience_index}\n"
             )
-    _write_atomic(paths.analysis_dir / "interpolation.csv", "".join(lines))
+    files.write_atomic(paths.analysis_dir / "interpolation.csv", "".join(lines))
 
 
 def _write_block_distance(paths, init, trained, digest) -> None:
@@ -795,7 +780,7 @@ def _write_block_distance(paths, init, trained, digest) -> None:
         for name, dist in zip(report.block_names, report.distances):
             value = "" if dist is None else f"{dist:.6f}"
             lines.append(f"{ck.experience_index},{name},{value}\n")
-    _write_atomic(paths.analysis_dir / "block_distance.csv", "".join(lines))
+    files.write_atomic(paths.analysis_dir / "block_distance.csv", "".join(lines))
 
 
 def _write_cka(paths, trained, probe, digest) -> None:
@@ -810,4 +795,4 @@ def _write_cka(paths, trained, probe, digest) -> None:
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[1]):
                 lines.append(f"{pair},layer{i},layer{j},{matrix[i, j]:.6f}\n")
-    _write_atomic(paths.analysis_dir / "cka.csv", "".join(lines))
+    files.write_atomic(paths.analysis_dir / "cka.csv", "".join(lines))

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import files
+
 ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -383,8 +385,9 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    archive = io.BytesIO()
+    np.savez(archive, **arrays)
+    files.write_atomic(path, archive.getvalue())
 
 
 # .npy magic and format version 1.0, which np.save writes for any header

@@ -7,11 +7,14 @@ streams with repetition memory-proportional to the dataset.
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import files
 
 
 class DanglingInstanceError(ValueError):
@@ -207,8 +210,7 @@ class Stream:
         return text.replace('"experiences": []', f'"experiences": [\n  {items}\n ]', 1)
 
     def save_manifest(self, path, config_digest: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.manifest_text(config_digest))
+        files.write_atomic(path, self.manifest_text(config_digest))
 
     @classmethod
     def load_manifest(cls, path) -> "Stream":
@@ -344,11 +346,12 @@ def verify_scenario_properties(stream: Stream, dataset: LabeledDataset) -> Prope
 
 def save_dataset_csv(dataset: LabeledDataset, path) -> None:
     """One row per instance: label, then feature values."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
-        for label, feats in zip(dataset.labels, dataset.features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in feats])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
+    for label, feats in zip(dataset.labels, dataset.features):
+        writer.writerow([int(label)] + [repr(float(v)) for v in feats])
+    files.write_atomic(path, text.getvalue())
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> LabeledDataset:

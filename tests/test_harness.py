@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import shutil
 import weakref
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cirsim import analysis, cli, harness, learner
+from cirsim import analysis, cli, files, harness, learner
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
 from cirsim.metrics import parse_csv
 from cirsim.stream import Stream
@@ -803,6 +805,30 @@ def test_analyze_reports_damaged_checkpoint(tmp_path, capsys, damage):
     assert "CheckpointError" in report["error"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_analyze_removes_only_an_earlier_analyze_report(tmp_path):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=2)
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == harness.EXIT_OK
+    checkpoint = out / "naive" / "seed0" / "checkpoints" / "ckpt_00003.npz"
+    whole = checkpoint.read_bytes()
+    _tear(checkpoint)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    assert json.loads((out / "error_report.json").read_text())["command"] == "analyze"
+    checkpoint.write_bytes(whole)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    assert not (out / "error_report.json").exists()
+
+    # a failed run's report marks the outputs analysed as partial
+    diverging = small_config(out, seeds=[0], train={"lr": 1e9, "epochs_per_experience": 5,
+                                                    "batch_size": 16, "replay_mix": 0.5})
+    assert cli.main(["run", str(write_config(tmp_path, diverging))]) == harness.EXIT_RUNTIME
+    report = (out / "error_report.json").read_bytes()
+    assert json.loads(report)["command"] == "run"
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    assert (out / "error_report.json").read_bytes() == report
+
+
 def test_analyze_torn_config_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=4)
@@ -846,11 +872,132 @@ def test_failed_atomic_write_keeps_the_old_file_and_removes_its_tmp(tmp_path, mo
     def failing_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    monkeypatch.setattr(files.os, "replace", failing_replace)
     with pytest.raises(OSError, match="disk full"):
-        harness._write_atomic(path, "new")
+        files.write_atomic(path, "new")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
     assert path.read_text() == "old"
+
+
+class _Killed(BaseException):
+    """A kill: no handler of the program catches it, and the write it
+    interrupts cleans nothing up."""
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but ``summary.json``, which holds a time."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and p.name != "summary.json"
+    }
+
+
+def test_a_kill_in_any_whole_file_write_resumes_to_the_uninterrupted_outputs(
+    tmp_path, monkeypatch
+):
+    raw = small_config(tmp_path / "out", strategies=["naive", "er-rs", "er-fa"], seeds=[0],
+                       checkpoint_every=1, generator={**small_config(None)["generator"], "n": 3},
+                       analysis={"interpolation": {"enabled": True, "n_points": 3},
+                                 "block_distance": {"enabled": True}})
+    cfg = ExperimentConfig.from_dict(raw)
+    write_atomic, calls = files.write_atomic, []
+
+    def counting(path, data):
+        calls.append(path)
+        write_atomic(path, data)
+
+    monkeypatch.setattr(files, "write_atomic", counting)
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    whole = _tree_bytes(tmp_path / "whole")
+    assert len(calls) > len(whole)  # every checkpoint, state, CSV header, ...
+
+    for k in range(len(calls)):
+        written = []
+
+        def killed_at_k(path, data):
+            written.append(path)
+            if len(written) <= k:
+                return write_atomic(path, data)
+            data = data.encode() if isinstance(data, str) else data
+            Path(f"{path}.tmp").write_bytes(data[: len(data) // 2])
+            raise _Killed
+
+        out = tmp_path / f"killed{k}"
+        monkeypatch.setattr(files, "write_atomic", killed_at_k)
+        with pytest.raises(_Killed):
+            harness.run(cfg, out_dir=out)
+        monkeypatch.setattr(files, "write_atomic", write_atomic)
+        assert harness.run(cfg, out_dir=out, resume=True) == harness.EXIT_OK
+        resumed = _tree_bytes(out)
+        assert sorted(resumed) == sorted(whole), (k, calls[k])
+        for name, data in whole.items():
+            assert resumed[name] == data, (k, calls[k], name)
+
+
+def test_a_kill_inside_the_resume_truncation_loses_no_rows(tmp_path, monkeypatch):
+    # the first resume is killed once two lines of metrics.csv's truncated
+    # text reach the disk, through whichever file it writes that text to
+    cfg = ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", strategies=["naive"], seeds=[0], checkpoint_every=2)
+    )
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert harness.run(cfg, stop_after=5) == harness.EXIT_OK
+    real_open = io.open
+
+    class KilledAfterTwoLines:
+        def __init__(self, *args, **kwargs):
+            self.file = real_open(*args, **kwargs)
+
+        def write(self, data):
+            if isinstance(data, memoryview):  # from Path.write_bytes
+                data = data.tobytes()
+            self.file.write(data[:0].join(data.splitlines(keepends=True)[:2]))
+            self.file.close()
+            raise _Killed
+
+        def writelines(self, lines):
+            self.write("".join(lines))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+    def killing_open(file, mode="r", *args, **kwargs):
+        if Path(file).name in ("metrics.csv", "metrics.csv.tmp") and "w" in mode:
+            return KilledAfterTwoLines(file, mode, *args, **kwargs)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", killing_open)
+    monkeypatch.setattr(builtins, "open", killing_open)
+    with pytest.raises(_Killed):
+        harness.run(cfg, resume=True)
+    monkeypatch.undo()
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    rel = Path("naive", "seed0", "metrics.csv")
+    assert (tmp_path / "out" / rel).read_bytes() == (tmp_path / "whole" / rel).read_bytes()
+
+
+def test_resume_clears_tmp_files_left_by_a_kill(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(
+        small_config(out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2)
+    )
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    planted = [
+        out / "naive" / "seed0" / "checkpoints" / "ckpt_00003.npz.tmp",
+        out / "er-rs" / "seed0" / "state" / "state_00003.json.tmp",
+        out / "summary.json.tmp",
+        out / "error_report.json.tmp",  # the one a successful run never rewrites
+    ]
+    for path in planted:
+        path.write_bytes(b"torn")
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert not [path for path in planted if path.exists()]
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
 
 
 def _rerun_configs(out):

@@ -1,5 +1,7 @@
-"""Guards for the benchmark's tooling that lives outside the package."""
+"""Guards for the benchmark's tooling that lives outside the package, and
+for the package's one way of writing whole files."""
 
+import ast
 import importlib
 import importlib.util
 import runpy
@@ -11,6 +13,7 @@ from cirsim import harness
 from cirsim.config import ExperimentConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cirsim"
 
 
 def test_every_traced_name_is_defined():
@@ -64,3 +67,71 @@ def test_traced_analyze_builds_inputs_once_per_checkpoint_pair_run(
         tracer.uninstall()
     assert tracer.count("harness.analyze", "") == 1
     assert tracer.count("harness.load_inputs", "") == input_builds
+
+
+def _writes_outside_the_writer(source: str) -> list[str]:
+    """Each call in ``source`` that writes a file other than by appending to
+    it: ``open`` with a mode holding ``w``, ``x`` or ``+`` (or a mode it
+    cannot read), ``write_text``/``write_bytes``, and a numpy save into
+    anything but a name bound to an ``io.BytesIO()``."""
+    tree = ast.parse(source)
+    in_memory = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "io.BytesIO"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+            writes = any(
+                not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                or set(mode.value) & set("wx+")
+                for mode in modes
+            )
+        elif func.endswith((".write_text", ".write_bytes")):
+            writes = True
+        elif func.startswith(("np.save", "numpy.save")):
+            target = node.args[0] if node.args else None
+            writes = not (isinstance(target, ast.Name) and target.id in in_memory)
+        else:
+            writes = False
+        if writes:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("open(p)", False),
+    ("open(p, 'rb')", False),
+    ("open(p, 'a', encoding='utf-8')", False),
+    ("open(p, 'w')", True),
+    ("open(p, mode='wb')", True),
+    ("open(p, 'x')", True),
+    ("open(p, 'r+b')", True),
+    ("open(p, mode)", True),
+    ("p.write_text('x')", True),
+    ("p.write_bytes(b'x')", True),
+    ("np.savez(path, a=a)", True),
+    ("f = open(p, 'ab')\nnp.savez(f, a=a)", True),
+    ("buf = io.BytesIO()\nnp.savez(buf, a=a)", False),
+])
+def test_write_scan_flags_each_write_outside_the_writer(source, flagged):
+    assert bool(_writes_outside_the_writer(source)) == flagged
+
+
+def test_whole_files_are_written_only_by_the_atomic_writer():
+    # files.write_atomic writes aside and renames: a kill leaves the old file
+    # or the new one; the CSV rows, appended, are the one other write
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "files.py")
+    assert modules
+    found = {
+        p.name: _writes_outside_the_writer(p.read_text(encoding="utf-8")) for p in modules
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}
