@@ -28,7 +28,6 @@ from .learner import (
     loss_and_grads,
     predict,
     predict_labels,
-    restore,
     save_checkpoint,
     snapshot,
     train_group,
@@ -46,7 +45,7 @@ from .sampling_generator import (
     realize_stream,
 )
 from .seeding import derive_rng, derive_seed
-from .slot_generator import InfeasibleSlotConfig, SlotConfig, generate_slot_stream, sweep_k
+from .slot_generator import InfeasibleSlotConfig, SlotConfig, generate_slot_stream
 from .stream import (
     DanglingInstanceError,
     Experience,

@@ -8,6 +8,7 @@ overridden from the command line with --set key.path=value.
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,17 +25,52 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the violated constraint."""
 
 
+_REQUIRED = object()  # a ``_get`` default: the key must be present
+_NUMBER = (int, float)  # a ``_get`` kind: a JSON number, kept as written
+_KIND_NAMES = {int: "an integer", float: "a finite number", _NUMBER: "a finite number",
+               bool: "true or false", str: "a string", dict: "an object"}
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
-def _get(d: dict, key: str, default=None, required: bool = False, where: str = ""):
+def _get(d: dict, key: str, default, kind, where: str = ""):
+    """``d[key]`` checked to be of JSON type ``kind``, or ``default`` when
+    absent. ``int`` refuses bools and fractions and reads ``2.0`` as ``2``;
+    ``float`` converts ints; ``[kind]`` is a list, returned as a tuple."""
+    name = f"{where}.{key}".lstrip(".")
     if key not in d:
-        if required:
-            raise ConfigError(f"missing required config key: {where}{key}")
+        _require(default is not _REQUIRED, f"missing required config key: {name}")
         return default
-    return d[key]
+    return _typed(d[key], kind, name)
+
+
+def _typed(value, kind, name: str):
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value))
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    numeric = kind in (float, _NUMBER)
+    if not (  # not _require: the message's repr is built only for a bad value
+        isinstance(value, _NUMBER if numeric else kind)
+        and isinstance(value, bool) == (kind is bool)
+        and (not numeric or abs(value) <= sys.float_info.max)
+    ):
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _validated(where: str, spec):
+    """``spec`` after its own ``validate()``, whose ValueError names ``where``."""
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return spec
 
 
 @dataclass(frozen=True)
@@ -51,121 +87,95 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        kind = _get(d, "kind", required=True, where="dataset.")
+        kind = _get(d, "kind", _REQUIRED, str, "dataset")
         _require(kind in ("synthetic", "csv"), f"dataset.kind must be synthetic or csv, got {kind!r}")
         if kind == "csv":
-            train_path = _get(d, "train_path", required=True, where="dataset.")
-            test_path = _get(d, "test_path", required=True, where="dataset.")
+            train_path = _get(d, "train_path", _REQUIRED, str, "dataset")
+            test_path = _get(d, "test_path", _REQUIRED, str, "dataset")
             return cls(kind=kind, train_path=train_path, test_path=test_path)
         spec = cls(
             kind=kind,
-            num_classes=int(_get(d, "num_classes", 10)),
-            per_class=int(_get(d, "per_class", 100)),
-            dim=int(_get(d, "dim", 16)),
-            spread=float(_get(d, "spread", 0.5)),
-            test_fraction=float(_get(d, "test_fraction", 0.1)),
-            seed=int(_get(d, "seed", 0)),
+            num_classes=_get(d, "num_classes", 10, int, "dataset"),
+            per_class=_get(d, "per_class", 100, int, "dataset"),
+            dim=_get(d, "dim", 16, int, "dataset"),
+            spread=_get(d, "spread", 0.5, float, "dataset"),
+            test_fraction=_get(d, "test_fraction", 0.1, float, "dataset"),
+            seed=_get(d, "seed", 0, int, "dataset"),
         )
         _require(spec.num_classes >= 2, "dataset.num_classes must be >= 2")
         _require(spec.per_class >= 1, "dataset.per_class must be >= 1")
         _require(spec.dim >= 2, "dataset.dim must be >= 2")
         _require(spec.spread > 0, "dataset.spread must be > 0")
+        _require(spec.seed >= 0, "dataset.seed must be >= 0")
         return spec
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str  # "slot" | "sampling"
-    n: int = 5
-    k: int = 2
-    s: int = 100
-    first_occurrence: dict = field(default_factory=lambda: {"kind": "geometric", "param": 0.1})
-    repetition: dict = field(default_factory=lambda: {"mode": "constant", "value": 0.2})
+    n: int
+    k: int | None = None  # the slot generator's; the rest are the sampling generator's
+    s: int | None = None
+    first_occurrence: PmfSpec | None = None
+    repetition: float | tuple[float, ...] | BimodalSpec | None = None  # all, per class, split
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        kind = _get(d, "kind", required=True, where="generator.")
+        kind = _get(d, "kind", _REQUIRED, str, "generator")
         _require(kind in ("slot", "sampling"), f"generator.kind must be slot or sampling, got {kind!r}")
-        n = int(_get(d, "n", required=True, where="generator."))
+        n = _get(d, "n", _REQUIRED, int, "generator")
         _require(n >= 1, "generator.n must be >= 1")
         if kind == "slot":
-            k = int(_get(d, "k", required=True, where="generator."))
+            k = _get(d, "k", _REQUIRED, int, "generator")
             _require(k >= 1, "generator.k must be >= 1")
             return cls(kind=kind, n=n, k=k)
-        s = int(_get(d, "s", required=True, where="generator."))
+        s = _get(d, "s", _REQUIRED, int, "generator")
         _require(s >= 1, "generator.s must be >= 1")
-        fo = _get(d, "first_occurrence", required=True, where="generator.")
-        rep = _get(d, "repetition", required=True, where="generator.")
-        mode = _get(rep, "mode", required=True, where="generator.repetition.")
-        _require(
-            mode in ("constant", "list", "bimodal"),
-            f"generator.repetition.mode must be constant, list or bimodal, got {mode!r}",
-        )
+        fo = _get(d, "first_occurrence", _REQUIRED, dict, "generator")
+        where = "generator.first_occurrence"
+        support_len = _get(fo, "support_len", n, int, where)
+        _require(support_len == n, f"{where}.support_len must equal generator.n")
+        pmf = _validated(where, PmfSpec(
+            _get(fo, "kind", _REQUIRED, str, where), n,
+            _get(fo, "param", None, _NUMBER, where), _get(fo, "weights", None, [_NUMBER], where),
+        ))
+        rep = _get(d, "repetition", _REQUIRED, dict, "generator")
+        where = "generator.repetition"
+        mode = _get(rep, "mode", _REQUIRED, str, where)
         if mode == "constant":
-            value = float(_get(rep, "value", required=True, where="generator.repetition."))
-            _require(0.0 <= value <= 1.0, "generator.repetition.value must lie in [0, 1]")
+            repetition = _get(rep, "value", _REQUIRED, float, where)
+            _require(0.0 <= repetition <= 1.0, f"{where}.value must lie in [0, 1]")
         elif mode == "list":
-            values = _get(rep, "values", required=True, where="generator.repetition.")
-            _require(
-                all(0.0 <= float(v) <= 1.0 for v in values),
-                "generator.repetition.values must lie in [0, 1]",
-            )
+            repetition = _get(rep, "values", _REQUIRED, [float], where)
+            _require(all(0.0 <= v <= 1.0 for v in repetition), f"{where}.values must lie in [0, 1]")
         else:
-            spec = BimodalSpec(
-                fraction_infrequent=float(_get(rep, "fraction_infrequent", required=True, where="generator.repetition.")),
-                p_low=float(_get(rep, "p_low", required=True, where="generator.repetition.")),
-                p_high=float(_get(rep, "p_high", required=True, where="generator.repetition.")),
-                assignment_seed=int(_get(rep, "assignment_seed", 0)),
-            )
-            try:
-                spec.validate()
-            except ValueError as exc:
-                raise ConfigError(f"generator.repetition: {exc}") from exc
-        return cls(kind=kind, n=n, s=s, first_occurrence=dict(fo), repetition=dict(rep))
+            _require(mode == "bimodal",
+                     f"{where}.mode must be constant, list or bimodal, got {mode!r}")
+            repetition = _validated(where, BimodalSpec(
+                fraction_infrequent=_get(rep, "fraction_infrequent", _REQUIRED, float, where),
+                p_low=_get(rep, "p_low", _REQUIRED, float, where),
+                p_high=_get(rep, "p_high", _REQUIRED, float, where),
+                assignment_seed=_get(rep, "assignment_seed", 0, int, where),
+            ))
+            _require(repetition.assignment_seed >= 0, f"{where}.assignment_seed must be >= 0")
+        return cls(kind=kind, n=n, s=s, first_occurrence=pmf, repetition=repetition)
 
     def slot_config(self, seed: int) -> SlotConfig:
         return SlotConfig(n_experiences=self.n, slots_per_experience=self.k, seed=seed)
 
     def sampling_config(self, num_classes: int, seed: int) -> SamplingConfig:
-        try:
-            fo = PmfSpec.from_config(self.first_occurrence, support_len=self.n)
-        except ValueError as exc:
-            raise ConfigError(f"generator.first_occurrence: {exc}") from exc
-        mode = self.repetition["mode"]
-        if mode == "constant":
-            rep = tuple([float(self.repetition["value"])] * num_classes)
-        elif mode == "list":
-            values = self.repetition["values"]
-            _require(
-                len(values) == num_classes,
-                f"generator.repetition.values must list one value per class "
-                f"({num_classes}), got {len(values)}",
-            )
-            rep = tuple(float(v) for v in values)
-        else:
-            base = SamplingConfig(self.n, self.s, fo, tuple([0.0] * num_classes), seed)
-            return make_bimodal_config(num_classes, self.bimodal_spec(), base)
-        cfg = SamplingConfig(self.n, self.s, fo, rep, seed)
-        cfg.validate()
-        return cfg
-
-    def bimodal_spec(self) -> BimodalSpec | None:
-        if self.kind != "sampling" or self.repetition.get("mode") != "bimodal":
-            return None
         rep = self.repetition
-        return BimodalSpec(
-            fraction_infrequent=float(rep["fraction_infrequent"]),
-            p_low=float(rep["p_low"]),
-            p_high=float(rep["p_high"]),
-            assignment_seed=int(rep.get("assignment_seed", 0)),
-        )
+        if isinstance(rep, BimodalSpec):
+            base = SamplingConfig(self.n, self.s, self.first_occurrence, (), seed)
+            return make_bimodal_config(num_classes, rep, base)
+        if isinstance(rep, float):
+            rep = (rep,) * num_classes
+        return SamplingConfig(self.n, self.s, self.first_occurrence, rep, seed)
 
     def infrequent_classes(self, num_classes: int) -> frozenset[int] | None:
-        spec = self.bimodal_spec()
-        if spec is None:
+        if not isinstance(self.repetition, BimodalSpec):
             return None
-        infrequent, _ = bimodal_class_split(num_classes, spec)
-        return frozenset(infrequent)
+        return frozenset(bimodal_class_split(num_classes, self.repetition)[0])
 
 
 @dataclass(frozen=True)
@@ -175,9 +185,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        hidden = tuple(int(h) for h in _get(d, "hidden", [32]))
+        hidden = _get(d, "hidden", (32,), [int], "model")
         _require(all(h >= 1 for h in hidden), "model.hidden sizes must be >= 1")
-        activation = _get(d, "activation", "relu")
+        activation = _get(d, "activation", "relu", str, "model")
         _require(
             activation in ACTIVATIONS,
             f"model.activation must be one of {ACTIVATIONS}, got {activation!r}",
@@ -196,19 +206,20 @@ class AnalysisSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisSpec":
-        interp = _get(d, "interpolation", {})
-        bd = _get(d, "block_distance", {})
-        cka = _get(d, "cka", {})
+        interp = _get(d, "interpolation", {}, dict, "analysis")
+        bd = _get(d, "block_distance", {}, dict, "analysis")
+        cka = _get(d, "cka", {}, dict, "analysis")
         spec = cls(
-            interpolation=bool(_get(interp, "enabled", False)),
-            interpolation_points=int(_get(interp, "n_points", 10)),
-            block_distance=bool(_get(bd, "enabled", False)),
-            cka=bool(_get(cka, "enabled", False)),
-            cka_probe_size=int(_get(cka, "probe_size", 512)),
-            cka_probe_seed=int(_get(cka, "probe_seed", 0)),
+            interpolation=_get(interp, "enabled", False, bool, "analysis.interpolation"),
+            interpolation_points=_get(interp, "n_points", 10, int, "analysis.interpolation"),
+            block_distance=_get(bd, "enabled", False, bool, "analysis.block_distance"),
+            cka=_get(cka, "enabled", False, bool, "analysis.cka"),
+            cka_probe_size=_get(cka, "probe_size", 512, int, "analysis.cka"),
+            cka_probe_seed=_get(cka, "probe_seed", 0, int, "analysis.cka"),
         )
         _require(spec.interpolation_points >= 2, "analysis.interpolation.n_points must be >= 2")
         _require(spec.cka_probe_size >= 2, "analysis.cka.probe_size must be >= 2")
+        _require(spec.cka_probe_seed >= 0, "analysis.cka.probe_seed must be >= 0")
         return spec
 
 
@@ -230,45 +241,41 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        version = raw.get("schema_version")
+        version = _get(raw, "schema_version", None, int)
         _require(
             version == SCHEMA_VERSION,
             f"config schema_version must be {SCHEMA_VERSION}, got {version!r}",
         )
-        dataset = DatasetSpec.from_dict(_get(raw, "dataset", required=True))
-        generator = GeneratorSpec.from_dict(_get(raw, "generator", required=True))
-        strategies = tuple(_get(raw, "strategies", required=True))
+        dataset = DatasetSpec.from_dict(_get(raw, "dataset", _REQUIRED, dict))
+        generator = GeneratorSpec.from_dict(_get(raw, "generator", _REQUIRED, dict))
+        strategies = _get(raw, "strategies", _REQUIRED, [str])
         _require(len(strategies) >= 1, "strategies must list at least one strategy")
         for s in strategies:
             _require(s in STRATEGIES, f"unknown strategy {s!r}; expected one of {STRATEGIES}")
         _require(len(set(strategies)) == len(strategies), "strategies must be unique")
-        buffer = _get(raw, "buffer", {})
-        buffer_size = int(_get(buffer, "size", 200))
-        buffer_policy = _get(buffer, "policy", "rs")
+        buffer = _get(raw, "buffer", {}, dict)
+        buffer_size = _get(buffer, "size", 200, int, "buffer")
+        buffer_policy = _get(buffer, "policy", "rs", str, "buffer")
         _require(buffer_policy in ("rs", "cb", "fa"), "buffer.policy must be rs, cb or fa")
         needs_buffer = any(s.startswith("er") for s in strategies)
         if needs_buffer:
             _require(buffer_size >= 1, "buffer.size must be >= 1 for replay strategies")
-        train_d = _get(raw, "train", {})
-        train = TrainConfig(
-            lr=float(_get(train_d, "lr", 0.1)),
-            epochs_per_experience=int(_get(train_d, "epochs_per_experience", 2)),
-            batch_size=int(_get(train_d, "batch_size", 32)),
-            replay_mix=float(_get(train_d, "replay_mix", 0.5)),
-        )
-        try:
-            train.validate()
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
+        train_d = _get(raw, "train", {}, dict)
+        train = _validated("train", TrainConfig(
+            lr=_get(train_d, "lr", 0.1, float, "train"),
+            epochs_per_experience=_get(train_d, "epochs_per_experience", 2, int, "train"),
+            batch_size=_get(train_d, "batch_size", 32, int, "train"),
+            replay_mix=_get(train_d, "replay_mix", 0.5, float, "train"),
+        ))
         _require(train.lr > 0, "train.lr must be > 0")
-        model = ModelSpec.from_dict(_get(raw, "model", {}))
-        seeds = tuple(int(s) for s in _get(raw, "seeds", required=True))
+        model = ModelSpec.from_dict(_get(raw, "model", {}, dict))
+        seeds = _get(raw, "seeds", _REQUIRED, [int])
         _require(len(seeds) >= 1, "seeds must list at least one seed")
         _require(len(set(seeds)) == len(seeds), "seeds must be unique")
-        output_dir = _get(raw, "output_dir", required=True)
-        checkpoint_every = int(_get(raw, "checkpoint_every", 0))
+        output_dir = _get(raw, "output_dir", _REQUIRED, str)
+        checkpoint_every = _get(raw, "checkpoint_every", 0, int)
         _require(checkpoint_every >= 0, "checkpoint_every must be >= 0")
-        analysis = AnalysisSpec.from_dict(_get(raw, "analysis", {}))
+        analysis = AnalysisSpec.from_dict(_get(raw, "analysis", {}, dict))
         return cls(
             dataset=dataset,
             generator=generator,
@@ -299,16 +306,21 @@ class ExperimentConfig:
         return strategy.split("-", 1)[1]
 
 
-def load_config(path, overrides=()) -> ExperimentConfig:
+def read_config_file(path) -> dict:
+    """The JSON object in the config file at ``path``."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    except (OSError, ValueError) as exc:  # a directory, bad UTF-8, bad JSON
+        raise ConfigError(f"unreadable {path}: {exc}") from exc
+    _require(isinstance(raw, dict), f"config must be a JSON object: {path}")
+    return raw
+
+
+def load_config(path, overrides=()) -> ExperimentConfig:
+    raw = read_config_file(path)
     for ov in overrides:
         apply_override(raw, ov)
     return ExperimentConfig.from_dict(raw)

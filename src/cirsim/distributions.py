@@ -85,20 +85,6 @@ class PmfSpec:
             cfg["weights"] = list(self.weights)
         return cfg
 
-    @classmethod
-    def from_config(cls, cfg: dict, support_len: int | None = None) -> "PmfSpec":
-        n = cfg.get("support_len", support_len)
-        if n is None:
-            raise ValueError("pmf config needs support_len")
-        spec = cls(
-            kind=cfg["kind"],
-            support_len=int(n),
-            param=cfg.get("param"),
-            weights=tuple(cfg["weights"]) if "weights" in cfg else None,
-        )
-        spec.validate()
-        return spec
-
 
 def materialize_pmf(spec: PmfSpec) -> np.ndarray:
     """Evaluate ``spec`` into a length-N probability vector summing to 1."""

@@ -22,7 +22,7 @@ import shutil
 import statistics
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis as ana
 from . import files, learner, metrics
 from .buffers import ReplayBuffer
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_config_file
 from .sampling_generator import build_occurrence_matrix, realize_stream
 from .seeding import derive_rng
 from .slot_generator import generate_slot_stream
@@ -63,8 +63,6 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     generator settings or unreadable dataset files."""
     try:
         train_set, test_set = build_dataset(cfg)
-    except ConfigError:
-        raise
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     validate_feasibility(cfg, train_set)
@@ -77,9 +75,7 @@ def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int):
     if cfg.generator.kind == "slot":
         # the generator owns its rng; scope the seed so other components
         # never share it
-        slot_cfg = replace(
-            cfg.generator.slot_config(seed), seed=int(rng.integers(2**63))
-        )
+        slot_cfg = cfg.generator.slot_config(int(rng.integers(2**63)))
         return generate_slot_stream(dataset, slot_cfg), None
     samp_cfg = cfg.generator.sampling_config(dataset.num_classes, seed)
     occurrence = build_occurrence_matrix(samp_cfg, rng)
@@ -87,17 +83,19 @@ def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int):
 
 
 def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None:
-    """Generator feasibility checks that need the dataset, run before any
-    training so bad configs fail fast with the violated constraint named."""
-    try:
-        if cfg.generator.kind == "slot":
-            cfg.generator.slot_config(cfg.seeds[0]).validate(dataset)
-        else:
-            cfg.generator.sampling_config(dataset.num_classes, cfg.seeds[0]).validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"generator: {exc}") from exc
+    """The generator checks that need the dataset, run before any training so
+    bad configs fail fast; parsing the config ran all the others."""
+    gen, c = cfg.generator, dataset.num_classes
+    if gen.kind == "slot":
+        try:
+            gen.slot_config(0).validate(dataset)
+        except ValueError as exc:
+            raise ConfigError(f"generator: {exc}") from exc
+    elif isinstance(gen.repetition, tuple) and len(gen.repetition) != c:
+        raise ConfigError(
+            f"generator.repetition.values must list one value per class "
+            f"({c}), got {len(gen.repetition)}"
+        )
 
 
 # -- cell state (resume support) ----------------------------------------------
@@ -677,15 +675,7 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
         report = json.loads(report_path.read_bytes())
         if isinstance(report, dict) and report.get("command") == "analyze":
             report_path.unlink()
-    config_path = run_dir / "config.json"
-    if not config_path.exists():
-        raise ConfigError(f"no config.json in {run_dir}")
-    try:
-        raw = json.loads(config_path.read_text())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"unreadable {config_path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{config_path} does not hold a JSON object")
+    raw = read_config_file(run_dir / "config.json")
     raw.pop("config_digest", None)
     cfg = ExperimentConfig.from_dict(raw)
     digest = cfg.digest()

@@ -357,10 +357,6 @@ def snapshot(params: ModelParams, experience_index: int, **meta) -> Checkpoint:
     return Checkpoint(params=params.copy(), experience_index=experience_index, meta=dict(meta))
 
 
-def restore(checkpoint: Checkpoint) -> ModelParams:
-    return checkpoint.params.copy()
-
-
 def _params_digest(params: ModelParams) -> str:
     h = hashlib.sha256()
     for w, b in zip(params.weights, params.biases):

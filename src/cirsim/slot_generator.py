@@ -184,10 +184,3 @@ def generate_slot_stream(dataset: LabeledDataset, cfg: SlotConfig) -> Stream:
         generator_config_hash=cfg.config_hash(dataset_ref),
         notes=tuple(notes),
     )
-
-
-def sweep_k(dataset: LabeledDataset, n_experiences: int, k_values, seed: int = 0) -> list[Stream]:
-    """One stream per K, all sharing the seed so partitions are comparable."""
-    return [
-        generate_slot_stream(dataset, SlotConfig(n_experiences, k, seed)) for k in k_values
-    ]

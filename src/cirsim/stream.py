@@ -212,11 +212,6 @@ class Stream:
     def save_manifest(self, path, config_digest: str | None = None) -> None:
         files.write_atomic(path, self.manifest_text(config_digest))
 
-    @classmethod
-    def load_manifest(cls, path) -> "Stream":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_manifest(json.load(f))
-
 
 def make_synthetic_dataset(
     num_classes: int,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cirsim.slot_generator import InfeasibleSlotConfig, SlotConfig, generate_slot_stream, sweep_k
+from cirsim.slot_generator import InfeasibleSlotConfig, SlotConfig, generate_slot_stream
 from cirsim.stream import make_synthetic_dataset, verify_scenario_properties
 
 
@@ -75,18 +75,14 @@ def test_different_seed_differs(dataset10):
 
 
 def test_sweep_classifications(dataset10):
-    streams = sweep_k(dataset10, 5, [2, 5, 10], seed=0)
+    streams = [generate_slot_stream(dataset10, SlotConfig(5, k, seed=0)) for k in (2, 5, 10)]
     labels = [verify_scenario_properties(s, dataset10).classification for s in streams]
     assert labels == ["CI", "CIR", "DI"]
 
 
 def test_sweep_single_di_boundary(dataset10):
-    (stream,) = sweep_k(dataset10, 5, [10], seed=0)
+    stream = generate_slot_stream(dataset10, SlotConfig(5, 10, seed=0))
     assert verify_scenario_properties(stream, dataset10).classification == "DI"
-
-
-def test_sweep_empty_k_values(dataset10):
-    assert sweep_k(dataset10, 5, [], seed=0) == []
 
 
 def test_k_above_c_rejected(dataset10):

@@ -231,7 +231,7 @@ def test_manifest_file_round_trip(tmp_path):
     stream = generate_slot_stream(train, SlotConfig(3, 2, seed=1))
     path = tmp_path / "manifest.json"
     stream.save_manifest(path)
-    restored = Stream.load_manifest(path)
+    restored = Stream.from_manifest(json.loads(path.read_text()))
     assert restored.to_manifest() == stream.to_manifest()
 
 
@@ -244,7 +244,7 @@ def test_manifest_digest_written_as_last_key(tmp_path):
     stamped["config_digest"] = "abc"
     stream.save_manifest(tmp_path / "stamped.json", config_digest="abc")
     assert (tmp_path / "stamped.json").read_text() == json.dumps(stamped, indent=1) + "\n"
-    restored = Stream.load_manifest(tmp_path / "stamped.json")
+    restored = Stream.from_manifest(json.loads((tmp_path / "stamped.json").read_text()))
     assert restored.to_manifest() == stream.to_manifest()
 
 

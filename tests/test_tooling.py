@@ -135,3 +135,61 @@ def test_whole_files_are_written_only_by_the_atomic_writer():
         p.name: _writes_outside_the_writer(p.read_text(encoding="utf-8")) for p in modules
     }
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# json.load is allowed in the one config file reader; json.loads in the
+# override parser, whose input is a --set value and not a file
+_JSON_PARSERS = {"read_config_file": {"json.load"}, "apply_override": {"json.loads"}}
+
+
+def _untyped_config_reads(source: str) -> list[str]:
+    """Each call in ``source`` that reads a config value around the typed
+    getter: ``int``/``float``/``bool``/``tuple`` wrapping a ``_get(...)``
+    call, and ``json.load``/``json.loads`` outside ``_JSON_PARSERS``."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node): _JSON_PARSERS.get(func.name, set())
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func in ("int", "float", "bool", "tuple"):
+            flagged = any(
+                isinstance(inner, ast.Call) and ast.unparse(inner.func) == "_get"
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                for inner in ast.walk(arg)
+            )
+        else:
+            flagged = func in ("json.load", "json.loads") and func not in allowed.get(id(node), ())
+        if flagged:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('_get(d, "n", 1, int)', False),
+    ("int(x)", False),
+    ('int(_get(d, "n", 1))', True),
+    ('float(_get(d, "lr", 0.1))', True),
+    ('bool(_get(d, "enabled", False))', True),
+    ('tuple(int(h) for h in _get(d, "hidden", [32]))', True),
+    ('f(x=int(_get(d, "n", 1)))', True),
+    ("def read_config_file(path):\n    return json.load(f)", False),
+    ("def apply_override(raw, o):\n    return json.loads(v)", False),
+    ("def apply_override(raw, o):\n    return json.load(f)", True),
+    ("def analyze(run_dir):\n    return json.loads(text)", True),
+    ("raw = json.load(f)", True),
+])
+def test_config_read_scan_flags_each_read_around_the_typed_getter(source, flagged):
+    assert bool(_untyped_config_reads(source)) == flagged
+
+
+def test_config_values_are_read_only_by_the_typed_getter():
+    # every value goes through _get, which checks its JSON type and names its
+    # key, and every config file through the one reader
+    assert _untyped_config_reads((PACKAGE / "config.py").read_text(encoding="utf-8")) == []
