@@ -4,8 +4,8 @@ Executes a strategy x seed grid over generated streams, one per run seed
 and shared by every strategy of that seed: per cell it trains the learner
 across all experiences, evaluates after each one, and writes a
 metrics CSV, a buffer trace, the stream manifest and parameter checkpoints.
-Cells run seed by seed and experience by experience; a seed's replay cells
-train in lockstep, as one stacked model, which changes no output byte.
+A seed's cells step together, experience by experience; those that draw
+the same replay rows train as one stacked model, which changes no output byte.
 Metric rows are appended as they are produced, every other file lands whole
 (``files.write_atomic``), every output carries the config digest, and runs
 are resumable at experience granularity from the latest checkpointed state.
@@ -83,9 +83,13 @@ def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int):
 
 
 def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None:
-    """The generator checks that need the dataset, run before any training so
-    bad configs fail fast; parsing the config ran all the others."""
+    """The checks that need the dataset (every class has a training instance,
+    and the generator's), run before any training so bad configs fail fast;
+    parsing the config ran all the others."""
     gen, c = cfg.generator, dataset.num_classes
+    empty = np.flatnonzero(np.bincount(dataset.labels, minlength=c) == 0)
+    if empty.size:
+        raise ConfigError(f"dataset: class {empty[0]} has no training instance")
     if gen.kind == "slot":
         try:
             gen.slot_config(0).validate(dataset)
@@ -351,9 +355,9 @@ class Cell:
 def run_group(cells: list[Cell], running: dict) -> None:
     """Run one seed's cells experience by experience.
 
-    At each experience, the cells that stand at the same ``start_index``
-    and draw the same replay rows train as one stacked model
-    (``learner.train_group``); a cell with no such partner trains alone.
+    At each experience, the active cells that draw the same replay rows
+    train as one stacked model (``learner.train_group``); a cell with no
+    such partner trains alone.
     ``running`` is kept naming the (strategy, seed) at work, for the error
     report: a diverged model names its own cell. Every cell's files are
     closed on the way out, also on an error.
@@ -368,10 +372,9 @@ def run_group(cells: list[Cell], running: dict) -> None:
             if active and len(exp) > 0:
                 x = train_set.features[exp.train_instances]
                 y = train_set.labels[exp.train_instances]
-                groups: dict[tuple[int, int], list[Cell]] = {}
+                groups: dict[int, list[Cell]] = {}
                 for cell in active:
-                    key = (cell.start_index, learner.replay_rows(cfg.train, cell.buffer))
-                    groups.setdefault(key, []).append(cell)
+                    groups.setdefault(learner.replay_rows(cfg.train, cell.buffer), []).append(cell)
                 for group in groups.values():
                     running.update(strategy=group[0].strategy, seed=group[0].seed)
                     try:
@@ -476,18 +479,18 @@ def run(
     running = {}  # the (strategy, seed) being run, for the error report
     try:
         for seed in cfg.seeds:
+            running = {"seed": seed}
             stream = build_stream(cfg, train_set, seed)[0]
             manifest = stream.manifest_text(digest)  # the one serialisation per seed
-            for strategies in _lockstep_groups(cfg.strategies):
-                cells = [
-                    Cell(
-                        cfg, train_set, test_set, stream, strategy, seed,
-                        cell_dir(out, strategy, seed), manifest,
-                        resume=resume, stop_after=stop_after,
-                    )
-                    for strategy in strategies
-                ]
-                run_group(cells, running)
+            cells = [
+                Cell(
+                    cfg, train_set, test_set, stream, strategy, seed,
+                    cell_dir(out, strategy, seed), manifest,
+                    resume=resume, stop_after=stop_after,
+                )
+                for strategy in cfg.strategies
+            ]
+            run_group(cells, running)
         running.clear()
         _write_summary(out, cfg)
         if stop_after is None and (
@@ -521,21 +524,6 @@ def _remove_stale_cells(out: Path, cfg: ExperimentConfig) -> None:
         shutil.rmtree(root)
         with contextlib.suppress(OSError):  # the strategy directory holds more
             root.parent.rmdir()
-
-
-def _lockstep_groups(strategies) -> list[list[str]]:
-    """The strategies in order, each alone except the replay (``er*``)
-    strategies, which form one group in the place of the first of them:
-    they share the seed's stream and so its mini-batch shapes."""
-    groups, replay = [], []
-    for strategy in strategies:
-        if not strategy.startswith("er"):
-            groups.append([strategy])
-        else:
-            if not replay:
-                groups.append(replay)
-            replay.append(strategy)
-    return groups
 
 
 def _write_error_report(out: Path, command: str, exc: Exception, digest: str, **cell) -> None:

@@ -4,6 +4,7 @@ settings parsed once into the objects the generators use."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,28 @@ def test_repetition_values_of_another_length_than_the_classes_exit_2(tmp_path, c
     assert cli.main(["run", str(path)]) == harness.EXIT_CONFIG
     assert "one value per class (5), got 2" in capsys.readouterr().err
     assert not list(tmp_path.rglob("metrics.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "inspect"])
+def test_a_class_without_training_instances_exits_2_naming_it(tmp_path, capsys, command):
+    from cirsim.stream import LabeledDataset, make_synthetic_dataset, save_dataset_csv
+
+    train, test = make_synthetic_dataset(5, 20, 4, 0.4, np.random.default_rng(0))
+    keep = train.labels != 2  # labels {0, 1, 3, 4}, so C = 5
+    save_dataset_csv(LabeledDataset(train.features[keep], train.labels[keep], 5),
+                     tmp_path / "train.csv")
+    save_dataset_csv(test, tmp_path / "test.csv")
+    raw = small_config(tmp_path / "out", dataset={
+        "kind": "csv", "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+    })
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([command, str(path)]) == harness.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: dataset: class 2 has no training instance\n"
+    assert not list(tmp_path.rglob("metrics.csv"))
+    assert not (tmp_path / "out" / "error_report.json").exists()
 
 
 # -- the one file reader ---------------------------------------------------------

@@ -335,8 +335,29 @@ def test_runtime_failure_report_names_the_cell(tmp_path):
     assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
     report = json.loads((out / "error_report.json").read_text())
     assert "TrainingDiverged" in report["error"]
-    assert (report["strategy"], report["seed"]) == ("naive", 0)  # the grid's first cell
-    assert sorted(p.relative_to(out).as_posix() for p in out.glob("*/seed*")) == ["naive/seed0"]
+    # seed 0's cells step together; er-rs is the first whose loss goes non-finite
+    assert (report["strategy"], report["seed"]) == ("er-rs", 0)
+    assert sorted(p.relative_to(out).as_posix() for p in out.glob("*/seed*")) == [
+        "er-rs/seed0", "naive/seed0"
+    ]
+
+
+def test_a_seed_level_failure_names_the_seed_alone(tmp_path, monkeypatch):
+    # the stream of seed 1 fails to build after seed 0's cells all finished
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(out, seeds=[0, 1]))
+    build_stream = harness.build_stream
+
+    def failing_on_seed_1(cfg, dataset, seed):
+        if seed == 1:
+            raise RuntimeError("no stream")
+        return build_stream(cfg, dataset, seed)
+
+    monkeypatch.setattr(harness, "build_stream", failing_on_seed_1)
+    assert harness.run(cfg) == harness.EXIT_RUNTIME
+    report = json.loads((out / "error_report.json").read_text())
+    assert report["error"] == "RuntimeError('no stream')"
+    assert report["seed"] == 1 and "strategy" not in report
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -539,16 +560,18 @@ REPLAY_TRIO = ["er-rs", "er-cb", "er-fa"]
 
 
 def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
-    raw = small_config(tmp_path / "grid", strategies=REPLAY_TRIO, seeds=[0, 1],
-                       checkpoint_every=3)
+    grid = ["naive", *REPLAY_TRIO]
+    raw = small_config(tmp_path / "grid", strategies=grid, seeds=[0, 1], checkpoint_every=3)
     cfg = ExperimentConfig.from_dict(raw)
     sizes = _spy_group_sizes(monkeypatch)
     assert harness.run(cfg) == harness.EXIT_OK
-    assert 3 in sizes  # the trio trained stacked
+    # per seed: all four stacked at experience 0, where every buffer is
+    # empty, then naive alone and the trio stacked at each of the other 7
+    assert sizes == ([4] + [1, 3] * 7) * 2
     train_set, test_set = harness.load_inputs(cfg)
     for seed in cfg.seeds:
         stream, _ = harness.build_stream(cfg, train_set, seed)
-        for strategy in REPLAY_TRIO:
+        for strategy in grid:
             sizes.clear()
             paths = harness.cell_dir(tmp_path / "alone", strategy, seed)
             last = harness.run_cell(cfg, train_set, test_set, stream, strategy, seed, paths)
@@ -567,7 +590,7 @@ def test_resume_of_a_group_standing_at_different_points(tmp_path, monkeypatch):
     (resumed / "er-cb" / "seed0" / "state" / "state_00005.json").unlink()
     sizes = _spy_group_sizes(monkeypatch)
     assert harness.run(cfg, out_dir=resumed, resume=True) == harness.EXIT_OK
-    assert sizes == [1, 1, 2, 1, 2, 1]  # er-cb alone at 4-5, then a pair and er-cb
+    assert sizes == [1, 1, 3, 3]  # er-cb alone at 4-5, then the trio at 6-7
     for strategy in REPLAY_TRIO:
         for name in ("metrics.csv", "buffer_trace.csv", "state/state_00007.json",
                      "checkpoints/ckpt_00007.npz"):
@@ -928,6 +951,48 @@ def test_a_kill_in_any_whole_file_write_resumes_to_the_uninterrupted_outputs(
         with pytest.raises(_Killed):
             harness.run(cfg, out_dir=out)
         monkeypatch.setattr(files, "write_atomic", write_atomic)
+        assert harness.run(cfg, out_dir=out, resume=True) == harness.EXIT_OK
+        resumed = _tree_bytes(out)
+        assert sorted(resumed) == sorted(whole), (k, calls[k])
+        for name, data in whole.items():
+            assert resumed[name] == data, (k, calls[k], name)
+
+
+def test_a_kill_in_any_csv_row_append_resumes_to_the_uninterrupted_outputs(
+    tmp_path, monkeypatch
+):
+    raw = small_config(tmp_path / "out", strategies=["naive", "er-rs", "er-fa"], seeds=[0, 1],
+                       checkpoint_every=2, generator={**small_config(None)["generator"], "n": 4})
+    cfg = ExperimentConfig.from_dict(raw)
+    write_flushed, calls = harness._write_flushed, []
+
+    def counting(f, text):
+        calls.append(f.name)
+        write_flushed(f, text)
+
+    monkeypatch.setattr(harness, "_write_flushed", counting)
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    whole = _tree_bytes(tmp_path / "whole")
+    # per seed and experience: naive's metrics row, and each replay cell's
+    # metrics row and buffer trace rows
+    assert len(calls) == 2 * 4 * 5
+
+    for k in range(len(calls)):
+        written = []
+
+        def killed_at_k(f, text):
+            written.append(f.name)
+            if len(written) <= k:
+                return write_flushed(f, text)
+            f.write(text[: len(text) // 2])
+            f.flush()
+            raise _Killed
+
+        out = tmp_path / f"killed{k}"
+        monkeypatch.setattr(harness, "_write_flushed", killed_at_k)
+        with pytest.raises(_Killed):
+            harness.run(cfg, out_dir=out)
+        monkeypatch.setattr(harness, "_write_flushed", write_flushed)
         assert harness.run(cfg, out_dir=out, resume=True) == harness.EXIT_OK
         resumed = _tree_bytes(out)
         assert sorted(resumed) == sorted(whole), (k, calls[k])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cirsim import harness
-from cirsim.config import ExperimentConfig
+from cirsim.config import STRATEGIES, ExperimentConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cirsim"
@@ -193,3 +193,54 @@ def test_config_values_are_read_only_by_the_typed_getter():
     # every value goes through _get, which checks its JSON type and names its
     # key, and every config file through the one reader
     assert _untyped_config_reads((PACKAGE / "config.py").read_text(encoding="utf-8")) == []
+
+
+def _strategy_name_reads(source: str) -> list[str]:
+    """Each place in ``source`` that reads a strategy's name: a string
+    constant equal to a ``STRATEGIES`` member, and a ``.startswith`` call
+    with a constant prefix that begins with ``er``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            flagged = node.value in STRATEGIES
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "startswith"
+        ):
+            flagged = any(
+                isinstance(prefix, ast.Constant) and isinstance(prefix.value, str)
+                and prefix.value.startswith("er")
+                for arg in node.args
+                for prefix in ast.walk(arg)
+            )
+        else:
+            flagged = False
+        if flagged:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("cfg.resolve_policy(strategy)", False),
+    ('line.startswith("#")', False),
+    ("strategy.startswith(prefix)", False),
+    ('x = "erase"', False),
+    ('x = "naive-ish"', False),
+    ('strategy.startswith("er")', True),
+    ('strategy.startswith("er-")', True),
+    ('strategy.startswith(("#", "er-cb"))', True),
+    ('if strategy == "naive":\n    pass', True),
+    ('policy = {"er-fa": "fa"}[strategy]', True),
+    ('strategy in ("er", "er-rs")', True),
+])
+def test_strategy_name_scan_flags_each_read_of_a_name(source, flagged):
+    assert bool(_strategy_name_reads(source)) == flagged
+
+
+def test_strategy_names_are_read_only_by_the_config():
+    # config.py maps a strategy to its buffer policy (resolve_policy); the
+    # rest of the package sees the policy, and schedules cells by batch shape
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "config.py")
+    assert modules
+    found = {p.name: _strategy_name_reads(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: reads for name, reads in found.items() if reads} == {}
