@@ -1,4 +1,5 @@
-"""The one way a whole file reaches disk (CSV rows are appended in place)."""
+"""The one way anything reaches disk: a whole file lands by rename, and a
+CSV row is appended to a file that already holds its header."""
 
 import os
 from pathlib import Path
@@ -15,3 +16,16 @@ def write_atomic(path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def append(path, text: str) -> None:
+    """Append ``text`` to the existing file ``path`` as UTF-8, with no newline
+    translation. A missing file raises ``FileNotFoundError``: appending never
+    creates a file, so rows never land in one without its header."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0))
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)

@@ -6,8 +6,9 @@ across all experiences, evaluates after each one, and writes a
 metrics CSV, a buffer trace, the stream manifest and parameter checkpoints.
 A seed's cells step together, experience by experience; those that draw
 the same replay rows train as one stacked model, which changes no output byte.
-Metric rows are appended as they are produced, every other file lands whole
-(``files.write_atomic``), every output carries the config digest, and runs
+Every write goes through ``files``: metric and trace rows are appended as
+they are produced (``files.append``), every other file lands whole
+(``files.write_atomic``). Every output carries the config digest, and runs
 are resumable at experience granularity from the latest checkpointed state.
 
 Per-component RNG streams are derived from (run seed, component name), so
@@ -60,11 +61,17 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset
 
 def load_inputs(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Build (train, test) and fail fast, as a config error, on infeasible
-    generator settings or unreadable dataset files."""
+    generator settings, unreadable dataset files or feature counts that
+    differ between them (or are 0)."""
     try:
         train_set, test_set = build_dataset(cfg)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
+    if train_set.dim == 0 or test_set.dim != train_set.dim:
+        raise ConfigError(
+            f"dataset: the train set has {train_set.dim} features and the test set "
+            f"{test_set.dim}; both need the same number, at least 1"
+        )
     validate_feasibility(cfg, train_set)
     return train_set, test_set
 
@@ -158,16 +165,20 @@ def cell_dir(out_dir: Path, strategy: str, seed: int) -> CellPaths:
     return CellPaths(out_dir / strategy / f"seed{seed}")
 
 
+def _saved_states(paths: CellPaths) -> dict[int, Path]:
+    """index -> path of each ``state/state_<digits>.json``; any other file
+    in ``state/`` is not the cell's, and is neither read nor removed."""
+    names = (re.fullmatch(r"state_(\d+)\.json", p.name) for p in paths.states.iterdir())
+    return {int(m[1]): paths.states / m[0] for m in names if m}
+
+
 def _load_resume_point(paths: CellPaths) -> tuple[int, dict, learner.ModelParams] | None:
     """(index, state, params) of the newest saved state whose JSON parses
     and whose checkpoint loads; a pair torn by a crash yields to the one
     before it."""
-    indices = sorted(
-        (int(p.stem.split("_")[1]) for p in paths.states.glob("state_*.json")), reverse=True
-    )
-    for index in indices:
+    for index, path in sorted(_saved_states(paths).items(), reverse=True):
         try:
-            state = json.loads(paths.state_file(index).read_text())
+            state = json.loads(path.read_text())
             params = learner.load_checkpoint(paths.checkpoint_file(index)).params
         except (OSError, ValueError):  # CheckpointError is a ValueError
             continue
@@ -175,9 +186,16 @@ def _load_resume_point(paths: CellPaths) -> tuple[int, dict, learner.ModelParams
     return None
 
 
+def _starts_with(path: Path, stamp: bytes) -> bool:
+    """Whether the file ``path`` exists and its bytes begin with ``stamp``."""
+    try:
+        with open(path, "rb") as f:
+            return f.read(len(stamp)) == stamp
+    except OSError:
+        return False
+
+
 def _truncate_csv(path: Path, max_experience: int) -> None:
-    if not path.exists():
-        return
     kept = []
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -196,11 +214,12 @@ class Cell:
     ``start()`` removes the ``*.tmp`` files a kill left in the cell, then
     resumes the cell from its newest good state, or writes its headers and
     initial checkpoint; either way it writes ``manifest``, the text of the
-    stream's manifest, and opens its CSVs to append. The caller
-    then trains ``params`` on each experience from ``start_index`` on, with
-    ``train_rng`` and ``buffer``, and hands the experience to ``step(exp)``:
-    buffer update, evaluation, CSV rows, and at checkpoint points the
-    checkpoint and state. ``finish()`` closes the CSVs.
+    stream's manifest. A cell resumes only if each of its CSVs starts with
+    its digest stamp, so rows never land in a file without its header. The
+    caller then trains ``params`` on each experience from ``start_index`` on,
+    with ``train_rng`` and ``buffer``, and hands the experience to
+    ``step(exp)``: buffer update, evaluation, CSV rows appended by path, and
+    at checkpoint points the checkpoint and state. A cell holds no open file.
 
     ``stop_after`` ends the cell early after the given experience index
     (used to exercise crash/resume behavior).
@@ -226,7 +245,6 @@ class Cell:
         self.infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
         self.last_record: metrics.RunRecord | None = None  # of this call's steps
         self.done = False
-        self._metrics_csv = self._trace_csv = None
 
     def start(self) -> None:
         cfg, paths, seed, digest = self.cfg, self.paths, self.seed, self.digest
@@ -241,6 +259,8 @@ class Cell:
         self.buffer_rng = derive_rng(seed, "buffer")
         self.seen: set[int] = set()
 
+        stamp = f"# config_digest={digest}\n"  # the first line of each CSV
+        csvs = [paths.metrics_csv] + ([paths.buffer_trace_csv] if self.buffer is not None else [])
         for tmp in list(paths.root.rglob("*.tmp")):  # left by a kill
             tmp.unlink()
         point = _load_resume_point(paths) if self.resume else None
@@ -257,21 +277,24 @@ class Cell:
                     f"(digest {state['config_digest']} != {digest})"
                 )
             _check_dataset_unchanged(paths.manifest, self.stream.dataset_ref)
+            if not all(_starts_with(csv, stamp.encode()) for csv in csvs):
+                point = None  # a CSV lost its header: the cell starts fresh
+        if point is not None:
             if state["buffer"] is not None:
                 self.buffer = ReplayBuffer.from_state(state["buffer"])
             self.train_rng = _restore_rng(state["train_rng"])
             self.buffer_rng = _restore_rng(state["buffer_rng"])
             self.seen = set(state["seen_classes"])
             self.start_index = state["next_experience"]
-            _truncate_csv(paths.metrics_csv, latest)
-            _truncate_csv(paths.buffer_trace_csv, latest)
+            for csv in csvs:
+                _truncate_csv(csv, latest)
         else:
             # a fresh start owns the cell's directory: an earlier run's
             # checkpoints, states and analysis would mislead a later analyze,
             # resume or reader
             for stale in [
                 *paths.checkpoints.glob("ckpt_*.npz"),
-                *paths.states.glob("state_*.json"),
+                *_saved_states(paths).values(),
                 *paths.analysis_dir.glob("*.csv"),
             ]:
                 stale.unlink()
@@ -286,19 +309,14 @@ class Cell:
                 learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
             )
             files.write_atomic(
-                paths.metrics_csv,
-                f"# config_digest={digest}\n" + metrics.csv_header(self.train_set.num_classes),
+                paths.metrics_csv, stamp + metrics.csv_header(self.train_set.num_classes)
             )
             if self.buffer is not None:
                 files.write_atomic(
                     paths.buffer_trace_csv,
-                    f"# config_digest={digest}\n"
-                    "experience_index,class_id,stored_count,observation_count,quota\n",
+                    stamp + "experience_index,class_id,stored_count,observation_count,quota\n",
                 )
         files.write_atomic(paths.manifest, self.manifest)
-        self._metrics_csv = open(paths.metrics_csv, "a", encoding="utf-8")
-        if self.buffer is not None:
-            self._trace_csv = open(paths.buffer_trace_csv, "a", encoding="utf-8")
 
     def step(self, exp) -> None:
         """Record experience ``exp``, which the caller has trained ``params`` on."""
@@ -318,9 +336,9 @@ class Cell:
             experience_index=exp.index, strategy=self.strategy, seed=self.seed,
         )
         self.last_record = record
-        _write_flushed(self._metrics_csv, metrics.to_csv_row(record))
+        files.append(self.paths.metrics_csv, metrics.to_csv_row(record))
         if self.buffer is not None:
-            _write_flushed(self._trace_csv, _trace_rows(self.buffer, exp.index))
+            files.append(self.paths.buffer_trace_csv, _trace_rows(self.buffer, exp.index))
 
         is_last = exp.index == len(self.stream) - 1
         at_interval = cfg.checkpoint_every > 0 and (exp.index + 1) % cfg.checkpoint_every == 0
@@ -345,12 +363,6 @@ class Cell:
             files.write_atomic(paths.state_file(exp.index), json.dumps(state))
         self.done = is_last or stopping
 
-    def finish(self) -> None:
-        for f in (self._metrics_csv, self._trace_csv):
-            if f is not None:
-                f.close()
-        self._metrics_csv = self._trace_csv = None
-
 
 def run_group(cells: list[Cell], running: dict) -> None:
     """Run one seed's cells experience by experience.
@@ -359,40 +371,35 @@ def run_group(cells: list[Cell], running: dict) -> None:
     train as one stacked model (``learner.train_group``); a cell with no
     such partner trains alone.
     ``running`` is kept naming the (strategy, seed) at work, for the error
-    report: a diverged model names its own cell. Every cell's files are
-    closed on the way out, also on an error.
+    report: a diverged model names its own cell.
     """
     stream, cfg, train_set = cells[0].stream, cells[0].cfg, cells[0].train_set
-    try:
-        for cell in cells:
-            running.update(strategy=cell.strategy, seed=cell.seed)
-            cell.start()
-        for exp in stream:
-            active = [c for c in cells if not c.done and c.start_index <= exp.index]
-            if active and len(exp) > 0:
-                x = train_set.features[exp.train_instances]
-                y = train_set.labels[exp.train_instances]
-                groups: dict[int, list[Cell]] = {}
-                for cell in active:
-                    groups.setdefault(learner.replay_rows(cfg.train, cell.buffer), []).append(cell)
-                for group in groups.values():
-                    running.update(strategy=group[0].strategy, seed=group[0].seed)
-                    try:
-                        learner.train_group(
-                            [c.params for c in group], x, y, cfg.train,
-                            [c.train_rng for c in group], [c.buffer for c in group],
-                            dataset=train_set,
-                        )
-                    except learner.TrainingDivergedError as exc:
-                        culprit = group[exc.member]
-                        running.update(strategy=culprit.strategy, seed=culprit.seed)
-                        raise
+    for cell in cells:
+        running.update(strategy=cell.strategy, seed=cell.seed)
+        cell.start()
+    for exp in stream:
+        active = [c for c in cells if not c.done and c.start_index <= exp.index]
+        if active and len(exp) > 0:
+            x = train_set.features[exp.train_instances]
+            y = train_set.labels[exp.train_instances]
+            groups: dict[int, list[Cell]] = {}
             for cell in active:
-                running.update(strategy=cell.strategy, seed=cell.seed)
-                cell.step(exp)
-    finally:
-        for cell in cells:
-            cell.finish()
+                groups.setdefault(learner.replay_rows(cfg.train, cell.buffer), []).append(cell)
+            for group in groups.values():
+                running.update(strategy=group[0].strategy, seed=group[0].seed)
+                try:
+                    learner.train_group(
+                        [c.params for c in group], x, y, cfg.train,
+                        [c.train_rng for c in group], [c.buffer for c in group],
+                        dataset=train_set,
+                    )
+                except learner.TrainingDivergedError as exc:
+                    culprit = group[exc.member]
+                    running.update(strategy=culprit.strategy, seed=culprit.seed)
+                    raise
+        for cell in active:
+            running.update(strategy=cell.strategy, seed=cell.seed)
+            cell.step(exp)
 
 
 def run_cell(
@@ -431,11 +438,6 @@ def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
             f"dataset loaded now has dataset_ref {dataset_ref}: the input changed "
             "since the run started"
         )
-
-
-def _write_flushed(f, text: str) -> None:
-    f.write(text)
-    f.flush()
 
 
 def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
@@ -514,12 +516,7 @@ def _remove_stale_cells(out: Path, cfg: ExperimentConfig) -> None:
     for root in out.glob("*/seed*"):
         if root in grid or not re.fullmatch(r"seed-?\d+", root.name) or root.is_symlink():
             continue
-        stamp = b"# config_digest="
-        try:
-            with open(CellPaths(root).metrics_csv, "rb") as f:
-                if f.read(len(stamp)) != stamp:
-                    continue
-        except OSError:
+        if not _starts_with(CellPaths(root).metrics_csv, b"# config_digest="):
             continue
         shutil.rmtree(root)
         with contextlib.suppress(OSError):  # the strategy directory holds more

@@ -90,7 +90,8 @@ def _class_chunks(dataset, chunk_counts, rng):
 def _assign_chunks(chunks, n_experiences, slots_per_exp, n_classes, rng):
     """Deal chunks into experiences, K per experience, distinct classes
     within each. Random rejection sampling bounded by C retries, then a
-    deterministic scan, then a swap repair against earlier experiences."""
+    deterministic scan, then a swap repair against earlier experiences.
+    Returns the experiences, or None when a slot cannot be filled."""
     remaining = list(chunks)
     rng.shuffle(remaining)
     experiences: list[list] = []
@@ -114,11 +115,11 @@ def _assign_chunks(chunks, n_experiences, slots_per_exp, n_classes, rng):
             if picked is None:
                 picked = _swap_repair(experiences, remaining, used)
             if picked is None:
-                return None, remaining
+                return None
             slots.append(picked)
             used.add(picked[0])
         experiences.append(slots)
-    return experiences, remaining
+    return experiences
 
 
 def _swap_repair(experiences, remaining, used):
@@ -149,38 +150,22 @@ def generate_slot_stream(dataset: LabeledDataset, cfg: SlotConfig) -> Stream:
         chunk_counts[extra] += 1
     chunks = _class_chunks(dataset, chunk_counts, rng)
 
-    assignment = None
     for attempt in range(20):
-        assignment, leftover = _assign_chunks(list(chunks), n, k, c, rng)
+        assignment = _assign_chunks(list(chunks), n, k, c, rng)
         if assignment is not None:
             break
     if assignment is None:
         raise RuntimeError("could not assign slots with distinct classes per experience")
-
-    notes = [f"slot generator: n={n} k={k}"]
-    flags_by_exp: dict[int, list[str]] = {}
-    if leftover:
-        # residual chunks (only possible for degenerate configs) go to the
-        # first experience; duplicated classes there are flagged
-        assignment[0].extend(leftover)
-        flags = ["overflow_slots_in_first_experience"]
-        classes0 = [ch[0] for ch in assignment[0]]
-        if len(classes0) != len(set(classes0)):
-            flags.append("duplicate_class_in_first_experience")
-        flags_by_exp[0] = flags
-        notes.append(f"{len(leftover)} leftover chunks assigned to experience 0")
 
     dataset_ref = dataset.digest()
     experiences = []
     for i, slots in enumerate(assignment):
         instances = np.concatenate([ch[2] for ch in slots])
         prov = Provenance(kind="slot_assignment", slots=tuple((ch[0], ch[1]) for ch in slots))
-        experiences.append(
-            make_experience(i, instances, dataset, prov, flags=flags_by_exp.get(i, ()))
-        )
+        experiences.append(make_experience(i, instances, dataset, prov))
     return Stream(
         experiences=tuple(experiences),
         dataset_ref=dataset_ref,
         generator_config_hash=cfg.config_hash(dataset_ref),
-        notes=tuple(notes),
+        notes=(f"slot generator: n={n} k={k}",),
     )

@@ -129,6 +129,36 @@ def test_a_class_without_training_instances_exits_2_naming_it(tmp_path, capsys, 
     assert not (tmp_path / "out" / "error_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "inspect"])
+@pytest.mark.parametrize("train_dim, test_dim", [(4, 3), (0, 4)])
+def test_a_csv_dataset_with_the_wrong_feature_count_exits_2_naming_both(
+    tmp_path, capsys, command, train_dim, test_dim
+):
+    # (4, 3) once trained experience 0 and then failed in evaluation; (0, 4),
+    # a train CSV of labels alone, ended in a ZeroDivisionError
+    from cirsim.stream import LabeledDataset, make_synthetic_dataset, save_dataset_csv
+
+    train, test = make_synthetic_dataset(5, 20, 4, 0.4, np.random.default_rng(0))
+    for split, dim, name in ((train, train_dim, "train.csv"), (test, test_dim, "test.csv")):
+        save_dataset_csv(
+            LabeledDataset(split.features[:, :dim], split.labels, 5), tmp_path / name
+        )
+    raw = small_config(tmp_path / "out", dataset={
+        "kind": "csv", "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+    })
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([command, str(path)]) == harness.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: dataset: the train set has {train_dim} features and the test "
+        f"set {test_dim}; both need the same number, at least 1\n"
+    )
+    assert not list(tmp_path.rglob("metrics.csv"))
+    assert not (tmp_path / "out" / "error_report.json").exists()
+
+
 # -- the one file reader ---------------------------------------------------------
 
 

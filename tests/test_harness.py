@@ -540,10 +540,6 @@ def test_resume_drops_a_row_torn_at_any_byte(tmp_path):
         shutil.rmtree(resumed)
 
 
-def _tree_bytes(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def _spy_group_sizes(monkeypatch) -> list[int]:
     sizes = []
     train_group = learner.train_group
@@ -607,13 +603,10 @@ def test_cell_step_puts_its_rows_on_disk(tmp_path):
     manifest = stream.manifest_text(cfg.digest())
     cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, manifest)
     cell.start()
-    try:
-        for exp in stream.experiences[:3]:
-            cell.step(exp)
-            for csv in (paths.metrics_csv, paths.buffer_trace_csv):
-                assert csv.read_text().splitlines()[-1].startswith(f"{exp.index},")
-    finally:
-        cell.finish()
+    for exp in stream.experiences[:3]:
+        cell.step(exp)
+        for csv in (paths.metrics_csv, paths.buffer_trace_csv):
+            assert csv.read_text().splitlines()[-1].startswith(f"{exp.index},")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -902,6 +895,26 @@ def test_failed_atomic_write_keeps_the_old_file_and_removes_its_tmp(tmp_path, mo
     assert path.read_text() == "old"
 
 
+def test_append_adds_its_text_as_utf8_bytes_and_never_creates_a_file(tmp_path):
+    path = tmp_path / "metrics.csv"
+    files.write_atomic(path, "# header\n")
+    files.append(path, "0,\u00e9\n1,x\r\n")
+    assert path.read_bytes() == "# header\n0,\u00e9\n1,x\r\n".encode()
+    with pytest.raises(FileNotFoundError):
+        files.append(tmp_path / "missing.csv", "0,x\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+
+def test_append_goes_on_after_a_short_write(tmp_path, monkeypatch):
+    path = tmp_path / "buffer_trace.csv"
+    files.write_atomic(path, "")
+    write = files.os.write
+    monkeypatch.setattr(files.os, "write", lambda fd, data: write(fd, data[:3]))
+    text = "".join(f"{i},{i * 7},{i % 3}\n" for i in range(50))
+    files.append(path, text)
+    assert path.read_text() == text
+
+
 class _Killed(BaseException):
     """A kill: no handler of the program catches it, and the write it
     interrupts cleans nothing up."""
@@ -964,13 +977,13 @@ def test_a_kill_in_any_csv_row_append_resumes_to_the_uninterrupted_outputs(
     raw = small_config(tmp_path / "out", strategies=["naive", "er-rs", "er-fa"], seeds=[0, 1],
                        checkpoint_every=2, generator={**small_config(None)["generator"], "n": 4})
     cfg = ExperimentConfig.from_dict(raw)
-    write_flushed, calls = harness._write_flushed, []
+    append, calls = files.append, []
 
-    def counting(f, text):
-        calls.append(f.name)
-        write_flushed(f, text)
+    def counting(path, text):
+        calls.append(path)
+        append(path, text)
 
-    monkeypatch.setattr(harness, "_write_flushed", counting)
+    monkeypatch.setattr(files, "append", counting)
     assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
     whole = _tree_bytes(tmp_path / "whole")
     # per seed and experience: naive's metrics row, and each replay cell's
@@ -980,19 +993,18 @@ def test_a_kill_in_any_csv_row_append_resumes_to_the_uninterrupted_outputs(
     for k in range(len(calls)):
         written = []
 
-        def killed_at_k(f, text):
-            written.append(f.name)
+        def killed_at_k(path, text):
+            written.append(path)
             if len(written) <= k:
-                return write_flushed(f, text)
-            f.write(text[: len(text) // 2])
-            f.flush()
+                return append(path, text)
+            append(path, text[: len(text) // 2])
             raise _Killed
 
         out = tmp_path / f"killed{k}"
-        monkeypatch.setattr(harness, "_write_flushed", killed_at_k)
+        monkeypatch.setattr(files, "append", killed_at_k)
         with pytest.raises(_Killed):
             harness.run(cfg, out_dir=out)
-        monkeypatch.setattr(harness, "_write_flushed", write_flushed)
+        monkeypatch.setattr(files, "append", append)
         assert harness.run(cfg, out_dir=out, resume=True) == harness.EXIT_OK
         resumed = _tree_bytes(out)
         assert sorted(resumed) == sorted(whole), (k, calls[k])
@@ -1063,6 +1075,52 @@ def test_resume_clears_tmp_files_left_by_a_kill(tmp_path):
     assert harness.run(cfg, resume=True) == harness.EXIT_OK
     assert not [path for path in planted if path.exists()]
     assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
+
+
+@pytest.mark.parametrize("damaged, how", [
+    (("metrics.csv", "buffer_trace.csv"), "deleted"),
+    (("metrics.csv",), "deleted"),
+    (("buffer_trace.csv",), "deleted"),
+    (("metrics.csv",), "unstamped"),
+    (("buffer_trace.csv",), "unstamped"),
+], ids=["both-deleted", "metrics-deleted", "trace-deleted", "metrics-unstamped",
+        "trace-unstamped"])
+def test_a_cell_whose_csv_lost_its_header_resumes_as_a_fresh_cell(tmp_path, damaged, how):
+    # rows were once appended to a new file with no header, and the summary
+    # then failed to parse the row taken for the header
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(
+        out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2,
+        generator={**small_config(None)["generator"], "n": 6},
+    ))
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    for name in damaged:
+        path = out / "er-rs" / "seed0" / name
+        if how == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
+
+
+def test_a_stray_file_in_state_is_neither_read_nor_removed(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(
+        small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=2)
+    )
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    stray = out / "naive" / "seed0" / "state" / "state_notes.json"
+    stray.write_text("{}")
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert stray.read_text() == "{}"
+    stray.unlink()
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
+    stray.write_text("{}")
+    assert harness.run(cfg) == harness.EXIT_OK  # a fresh cell removes its own states
+    assert stray.read_text() == "{}"
 
 
 def _rerun_configs(out):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirsim.slot_generator import InfeasibleSlotConfig, SlotConfig, generate_slot_stream
-from cirsim.stream import make_synthetic_dataset, verify_scenario_properties
+from cirsim.stream import LabeledDataset, make_synthetic_dataset, verify_scenario_properties
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +124,33 @@ def test_too_few_slots_for_every_class_rejected():
         cfg.validate(train)
     with pytest.raises(InfeasibleSlotConfig, match=r"N\*K=10 < C=20"):
         generate_slot_stream(train, cfg)
+
+
+@st.composite
+def feasible_slot_configs(draw):
+    """(dataset, SlotConfig) with K <= C, N*K >= C and every class pool at
+    least as large as the most chunks a class may get."""
+    c = draw(st.integers(1, 12))
+    k = draw(st.integers(1, c))
+    n = draw(st.integers(-(-c // k), -(-c // k) + 6))
+    max_chunks = -(-n * k // c)
+    sizes = draw(st.lists(st.integers(max_chunks, max_chunks + 4), min_size=c, max_size=c))
+    labels = np.repeat(np.arange(c), sizes)
+    dataset = LabeledDataset(np.zeros((labels.size, 1)), labels, c)
+    return dataset, SlotConfig(n, k, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_slot_configs())
+def test_every_feasible_config_fills_each_slot_once_with_every_instance(case):
+    dataset, cfg = case
+    stream = generate_slot_stream(dataset, cfg)
+    assert len(stream) == cfg.n_experiences
+    for exp in stream:
+        slot_classes = [c for c, _ in exp.provenance.slots]
+        assert len(slot_classes) == cfg.slots_per_experience
+        assert len(set(slot_classes)) == len(slot_classes)
+        assert exp.flags == ()
+    assert len(stream.notes) == 1
+    combined = np.sort(np.concatenate([e.train_instances for e in stream]))
+    assert np.array_equal(combined, np.arange(len(dataset)))

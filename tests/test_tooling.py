@@ -1,5 +1,5 @@
-"""Guards for the benchmark's tooling that lives outside the package, and
-for the package's one way of writing whole files."""
+"""Guards for the benchmark's tooling that lives outside the package, for
+the package's one write layer, and for names bound twice in one scope."""
 
 import ast
 import importlib
@@ -12,8 +12,9 @@ import pytest
 from cirsim import harness
 from cirsim.config import STRATEGIES, ExperimentConfig
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cirsim"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "cirsim"
 
 
 def test_every_traced_name_is_defined():
@@ -70,10 +71,10 @@ def test_traced_analyze_builds_inputs_once_per_checkpoint_pair_run(
 
 
 def _writes_outside_the_writer(source: str) -> list[str]:
-    """Each call in ``source`` that writes a file other than by appending to
-    it: ``open`` with a mode holding ``w``, ``x`` or ``+`` (or a mode it
-    cannot read), ``write_text``/``write_bytes``, and a numpy save into
-    anything but a name bound to an ``io.BytesIO()``."""
+    """Each call in ``source`` that may write a file: ``open`` with a mode
+    holding ``w``, ``x``, ``a`` or ``+`` (or a mode it cannot read),
+    ``os.open``, ``os.write``, ``write_text``/``write_bytes``, and a numpy
+    save into anything but a name bound to an ``io.BytesIO()``."""
     tree = ast.parse(source)
     in_memory = {
         target.id
@@ -92,10 +93,10 @@ def _writes_outside_the_writer(source: str) -> list[str]:
             modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
             writes = any(
                 not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
-                or set(mode.value) & set("wx+")
+                or set(mode.value) & set("wxa+")
                 for mode in modes
             )
-        elif func.endswith((".write_text", ".write_bytes")):
+        elif func in ("os.open", "os.write") or func.endswith((".write_text", ".write_bytes")):
             writes = True
         elif func.startswith(("np.save", "numpy.save")):
             target = node.args[0] if node.args else None
@@ -110,7 +111,8 @@ def _writes_outside_the_writer(source: str) -> list[str]:
 @pytest.mark.parametrize("source, flagged", [
     ("open(p)", False),
     ("open(p, 'rb')", False),
-    ("open(p, 'a', encoding='utf-8')", False),
+    ("open(p, 'a', encoding='utf-8')", True),
+    ("open(p, mode='ab')", True),
     ("open(p, 'w')", True),
     ("open(p, mode='wb')", True),
     ("open(p, 'x')", True),
@@ -118,6 +120,9 @@ def _writes_outside_the_writer(source: str) -> list[str]:
     ("open(p, mode)", True),
     ("p.write_text('x')", True),
     ("p.write_bytes(b'x')", True),
+    ("fd = os.open(p, os.O_WRONLY | os.O_APPEND)", True),
+    ("os.write(fd, data)", True),
+    ("os.read(fd, 10)", False),
     ("np.savez(path, a=a)", True),
     ("f = open(p, 'ab')\nnp.savez(f, a=a)", True),
     ("buf = io.BytesIO()\nnp.savez(buf, a=a)", False),
@@ -128,7 +133,8 @@ def test_write_scan_flags_each_write_outside_the_writer(source, flagged):
 
 def test_whole_files_are_written_only_by_the_atomic_writer():
     # files.write_atomic writes aside and renames: a kill leaves the old file
-    # or the new one; the CSV rows, appended, are the one other write
+    # or the new one; files.append adds CSV rows to a file that holds its
+    # header. No other module writes.
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "files.py")
     assert modules
     found = {
@@ -244,3 +250,52 @@ def test_strategy_names_are_read_only_by_the_config():
     assert modules
     found = {p.name: _strategy_name_reads(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def _names_bound_twice(source: str) -> list[str]:
+    """Each ``def`` or ``class`` that binds a name already bound by a
+    ``def`` or ``class`` of the same module or class body: the later one
+    silently replaces the earlier."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            continue
+        seen = set()
+        for node in scope.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in seen:
+                found.append(f"line {node.lineno}: {node.name}")
+            seen.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def f():\n    pass\ndef g():\n    pass", False),
+    ("def f():\n    pass\ndef f():\n    pass", True),
+    ("class A:\n    pass\nclass A:\n    pass", True),
+    ("def A():\n    pass\nclass A:\n    pass", True),
+    ("async def f():\n    pass\ndef f():\n    pass", True),
+    ("class A:\n    def f(self):\n        pass\n    def f(self):\n        pass", True),
+    ("class A:\n    def f(self):\n        pass\nclass B:\n    def f(self):\n        pass",
+     False),
+    ("def f():\n    pass\nclass A:\n    def f(self):\n        pass", False),
+    ("def f():\n    def g():\n        pass\n    def g():\n        pass", False),
+    ("if x:\n    def f():\n        pass\nelse:\n    def f():\n        pass", False),
+])
+def test_twice_bound_scan_flags_each_def_or_class_that_replaces_another(source, flagged):
+    assert bool(_names_bound_twice(source)) == flagged
+
+
+def test_no_module_or_class_binds_a_def_or_class_name_twice():
+    # a second definition of a helper replaces the first for every caller,
+    # including the ones written next to the first
+    modules = sorted(
+        p for d in ("src/cirsim", "tests", "perfbench") for p in (ROOT / d).glob("*.py")
+    )
+    assert len(modules) > 20
+    found = {
+        p.relative_to(ROOT).as_posix(): _names_bound_twice(p.read_text(encoding="utf-8"))
+        for p in modules
+    }
+    assert {name: names for name, names in found.items() if names} == {}
