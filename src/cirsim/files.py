@@ -1,8 +1,15 @@
 """The one way anything reaches disk: a whole file lands by rename, and a
-CSV row is appended to a file that already holds its header."""
+CSV row is appended to a file that already holds its header. A run
+directory is locked while one process writes it."""
 
+import contextlib
 import os
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # Windows has no fcntl; there nothing is locked
+    fcntl = None
 
 
 def write_atomic(path, data: str | bytes) -> None:
@@ -29,3 +36,22 @@ def append(path, text: str) -> None:
             data = data[os.write(fd, data):]
     finally:
         os.close(fd)
+
+
+@contextlib.contextmanager
+def lock_dir(path):
+    """Hold an exclusive lock on the directory ``path`` for the ``with`` block.
+    The lock is ``flock`` on the directory itself, so no file is made. It
+    belongs to this open of the directory: another ``lock_dir`` of it, in
+    this process or another, raises ``BlockingIOError`` while it is held, and
+    the kernel drops it when the process dies. Where ``fcntl`` is missing,
+    nothing is locked."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)  # and with it the lock

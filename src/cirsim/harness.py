@@ -16,6 +16,7 @@ the stream a strategy sees never depends on the strategy itself.
 """
 
 import contextlib
+import ctypes
 import functools
 import json
 import re
@@ -94,7 +95,7 @@ def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None
     and the generator's), run before any training so bad configs fail fast;
     parsing the config ran all the others."""
     gen, c = cfg.generator, dataset.num_classes
-    empty = np.flatnonzero(np.bincount(dataset.labels, minlength=c) == 0)
+    empty = np.flatnonzero(dataset.class_counts == 0)
     if empty.size:
         raise ConfigError(f"dataset: class {empty[0]} has no training instance")
     if gen.kind == "slot":
@@ -217,9 +218,10 @@ class Cell:
     stream's manifest. A cell resumes only if each of its CSVs starts with
     its digest stamp, so rows never land in a file without its header. The
     caller then trains ``params`` on each experience from ``start_index`` on,
-    with ``train_rng`` and ``buffer``, and hands the experience to
-    ``step(exp)``: buffer update, evaluation, CSV rows appended by path, and
-    at checkpoint points the checkpoint and state. A cell holds no open file.
+    with ``train_rng`` and ``buffer``, and hands the experience and its
+    evaluation context to ``step(exp, ctx)``: buffer update, evaluation, CSV
+    rows appended by path, and at checkpoint points the checkpoint and state.
+    A cell holds no open file.
 
     ``stop_after`` ends the cell early after the given experience index
     (used to exercise crash/resume behavior).
@@ -242,7 +244,6 @@ class Cell:
         self.strategy, self.seed, self.paths = strategy, seed, paths
         self.manifest, self.resume, self.stop_after = manifest, resume, stop_after
         self.digest = cfg.digest()
-        self.infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
         self.last_record: metrics.RunRecord | None = None  # of this call's steps
         self.done = False
 
@@ -257,7 +258,6 @@ class Cell:
         self.buffer = ReplayBuffer(max_size=cfg.buffer_size, policy=policy) if policy else None
         self.train_rng = derive_rng(seed, "learner")
         self.buffer_rng = derive_rng(seed, "buffer")
-        self.seen: set[int] = set()
 
         stamp = f"# config_digest={digest}\n"  # the first line of each CSV
         csvs = [paths.metrics_csv] + ([paths.buffer_trace_csv] if self.buffer is not None else [])
@@ -284,7 +284,6 @@ class Cell:
                 self.buffer = ReplayBuffer.from_state(state["buffer"])
             self.train_rng = _restore_rng(state["train_rng"])
             self.buffer_rng = _restore_rng(state["buffer_rng"])
-            self.seen = set(state["seen_classes"])
             self.start_index = state["next_experience"]
             for csv in csvs:
                 _truncate_csv(csv, latest)
@@ -318,19 +317,13 @@ class Cell:
                 )
         files.write_atomic(paths.manifest, self.manifest)
 
-    def step(self, exp) -> None:
-        """Record experience ``exp``, which the caller has trained ``params`` on."""
+    def step(self, exp, ctx: metrics.EvalContext) -> None:
+        """Record experience ``exp``, which the caller has trained ``params``
+        on, and evaluate under ``ctx``, the context of the stream at ``exp``."""
         cfg, digest = self.cfg, self.digest
         if self.buffer is not None:
             labels = self.train_set.labels[exp.train_instances]
             self.buffer.update(exp.train_instances, labels, self.buffer_rng)
-        self.seen |= exp.present_classes
-
-        ctx = metrics.EvalContext(
-            seen_classes=frozenset(self.seen),
-            present_classes=exp.present_classes,
-            infrequent_classes=self.infrequent,
-        )
         record = metrics.evaluate(
             self.params, self.test_set, ctx,
             experience_index=exp.index, strategy=self.strategy, seed=self.seed,
@@ -355,7 +348,7 @@ class Cell:
                 "strategy": self.strategy,
                 "seed": self.seed,
                 "next_experience": exp.index + 1,
-                "seen_classes": sorted(self.seen),
+                "seen_classes": ctx.seen_index.tolist(),
                 "train_rng": _rng_state(self.train_rng),
                 "buffer_rng": _rng_state(self.buffer_rng),
                 "buffer": None if self.buffer is None else self.buffer.to_state(),
@@ -369,7 +362,8 @@ def run_group(cells: list[Cell], running: dict) -> None:
 
     At each experience, the active cells that draw the same replay rows
     train as one stacked model (``learner.train_group``); a cell with no
-    such partner trains alone.
+    such partner trains alone. Every cell then steps with one evaluation
+    context: the cells of a seed see the same stream.
     ``running`` is kept naming the (strategy, seed) at work, for the error
     report: a diverged model names its own cell.
     """
@@ -377,7 +371,10 @@ def run_group(cells: list[Cell], running: dict) -> None:
     for cell in cells:
         running.update(strategy=cell.strategy, seed=cell.seed)
         cell.start()
+    infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
+    seen: set[int] = set()  # the classes of every experience so far
     for exp in stream:
+        seen |= exp.present_classes
         active = [c for c in cells if not c.done and c.start_index <= exp.index]
         if active and len(exp) > 0:
             x = train_set.features[exp.train_instances]
@@ -397,9 +394,11 @@ def run_group(cells: list[Cell], running: dict) -> None:
                     culprit = group[exc.member]
                     running.update(strategy=culprit.strategy, seed=culprit.seed)
                     raise
+        if active:
+            ctx = metrics.EvalContext(frozenset(seen), exp.present_classes, infrequent)
         for cell in active:
             running.update(strategy=cell.strategy, seed=cell.seed)
-            cell.step(exp)
+            cell.step(exp, ctx)
 
 
 def run_cell(
@@ -461,50 +460,68 @@ def run(
     resume: bool = False,
     stop_after: int | None = None,
 ) -> int:
-    """Execute the full strategy x seed grid; returns a process exit code."""
+    """Execute the full strategy x seed grid; returns a process exit code.
+    The output directory stays locked (``_exclusive``) until it returns."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     train_set, test_set = load_inputs(cfg)
-
     out.mkdir(parents=True, exist_ok=True)
-    digest = cfg.digest()
-    files.write_atomic(
-        out / "config.json",
-        json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
-    )
-    # an earlier run's failure report would mark this run's outputs
-    # incomplete; a kill leaves <name>.tmp files
-    for stale in [out / "error_report.json", *out.glob("*.tmp")]:
-        stale.unlink(missing_ok=True)
-    if not resume:
-        _remove_stale_cells(out, cfg)
+    with _exclusive(out):
+        digest = cfg.digest()
+        files.write_atomic(
+            out / "config.json",
+            json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
+        )
+        # an earlier run's failure report would mark this run's outputs
+        # incomplete; a kill leaves <name>.tmp files
+        for stale in [out / "error_report.json", *out.glob("*.tmp")]:
+            stale.unlink(missing_ok=True)
+        if not resume:
+            _remove_stale_cells(out, cfg)
 
-    running = {}  # the (strategy, seed) being run, for the error report
-    try:
-        for seed in cfg.seeds:
-            running = {"seed": seed}
-            stream = build_stream(cfg, train_set, seed)[0]
-            manifest = stream.manifest_text(digest)  # the one serialisation per seed
-            cells = [
-                Cell(
-                    cfg, train_set, test_set, stream, strategy, seed,
-                    cell_dir(out, strategy, seed), manifest,
-                    resume=resume, stop_after=stop_after,
-                )
-                for strategy in cfg.strategies
-            ]
-            run_group(cells, running)
-        running.clear()
-        _write_summary(out, cfg)
-        if stop_after is None and (
-            cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
-        ):
-            return analyze(out)
-    except ConfigError:
-        raise
-    except Exception as exc:  # runtime failure: structured report, partial outputs marked
-        _write_error_report(out, "run", exc, digest, **running)
-        return EXIT_RUNTIME
-    return EXIT_OK
+        running = {}  # the (strategy, seed) being run, for the error report
+        try:
+            for seed in cfg.seeds:
+                running = {"seed": seed}
+                stream = build_stream(cfg, train_set, seed)[0]
+                manifest = stream.manifest_text(digest)  # the one serialisation per seed
+                cells = [
+                    Cell(
+                        cfg, train_set, test_set, stream, strategy, seed,
+                        cell_dir(out, strategy, seed), manifest,
+                        resume=resume, stop_after=stop_after,
+                    )
+                    for strategy in cfg.strategies
+                ]
+                run_group(cells, running)
+            running.clear()
+            _write_summary(out, cfg)
+            if stop_after is None and (
+                cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
+            ):
+                return _analyze(out, force_all=False)  # under this run's lock
+        except ConfigError:
+            raise
+        except Exception as exc:  # runtime failure: structured report, partial outputs marked
+            _write_error_report(out, "run", exc, digest, **running)
+            return EXIT_RUNTIME
+        return EXIT_OK
+
+
+@contextlib.contextmanager
+def _exclusive(out: Path):
+    """Hold ``out``'s directory lock (``files.lock_dir``) for the block: two
+    processes writing one run directory would interleave their rows. A lock
+    held elsewhere, or no directory to lock, is a config error."""
+    with contextlib.ExitStack() as stack:
+        try:
+            stack.enter_context(files.lock_dir(out))
+        except BlockingIOError:
+            raise ConfigError(
+                f"{out} is locked: another cirsim run or analyze is writing it"
+            ) from None
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise ConfigError(f"no run directory at {out}") from exc
+        yield
 
 
 def _remove_stale_cells(out: Path, cfg: ExperimentConfig) -> None:
@@ -530,9 +547,42 @@ def _write_error_report(out: Path, command: str, exc: Exception, digest: str, **
         "traceback": "".join(traceback.format_exception(exc)),
         "config_digest": digest,
         "incomplete": True,
+        "numeric_env": _numeric_environment(),
         **cell,
     }
     files.write_atomic(out / "error_report.json", json.dumps(report, indent=1) + "\n")
+
+
+def _numeric_environment() -> dict:
+    """The numeric stack this process computes with, on which the output
+    bytes depend: the numpy version, the BLAS numpy was built with, and the
+    kernel OpenBLAS picked for this CPU at runtime (None where unknown)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_core": _openblas_core(),
+    }
+
+
+def _openblas_core() -> str | None:
+    """The name of the kernel OpenBLAS runs here (say ``SkylakeX``), read
+    from the scipy-openblas library bundled with numpy's wheels; None where
+    there is no such library or it lacks ``scipy_openblas_get_corename64_``.
+    Opening the library again yields the copy numpy already loaded."""
+    package = Path(np.__file__).parent
+    for lib in [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]:
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        return name.decode() if name else None
+    return None
 
 
 def _agg(values: list[float | None]) -> dict | None:
@@ -555,6 +605,7 @@ def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
     summary = {
         "config_digest": cfg.digest(),
         "created_unix": time.time(),
+        "numeric_env": _numeric_environment(),
         "seeds": list(cfg.seeds),
         "strategies": {},
     }
@@ -651,8 +702,14 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     pair's earlier experience, CKA on a fixed probe batch from the test set.
     A cell that fails (say, on a torn checkpoint) stops the analysis with
     ``error_report.json`` naming the cell, and returns ``EXIT_RUNTIME``.
+    The run directory stays locked (``_exclusive``) until it returns.
     """
     run_dir = Path(run_dir)
+    with _exclusive(run_dir):
+        return _analyze(run_dir, force_all)
+
+
+def _analyze(run_dir: Path, force_all: bool) -> int:
     # an earlier analyze's report would outlive this one's success; a run's
     # report stays, as it marks the outputs analysed here as partial
     report_path = run_dir / "error_report.json"

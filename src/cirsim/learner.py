@@ -173,17 +173,29 @@ def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
     other rows (near or exact ties, nan or infinite logits) go through the
     softmax itself.
 
+    A row is near a tie when its second-largest logit (the row's max once its
+    top is masked with -inf) lies within ``_TIE_GAP`` of the top. With a
+    finite top that is exactly "more than one logit is >= top - _TIE_GAP":
+    argmax stops at the first nan, so a finite top means a row without nan.
+
     Stacked parameters (see ``_forward``) on a shared 2-D input give (S, n)
     labels, each model's row equal to its own call.
     """
     features = _model_input(params, features)
     _, _, logits = _forward(params, features)
-    labels = logits.argmax(axis=-1)
-    top = np.take_along_axis(logits, labels[..., None], axis=-1)
-    near = np.count_nonzero(logits >= top - _TIE_GAP, axis=-1)
-    rows = (near > 1) | ~np.isfinite(top[..., 0])
+    # one row of C logits per (model, sample); a view of _forward's array
+    flat = np.ascontiguousarray(logits).reshape(-1, logits.shape[-1])
+    labels = flat.argmax(axis=1)
+    cells = flat.reshape(-1)
+    at = labels + np.arange(0, cells.size, flat.shape[1])  # each row's top, in cells
+    top = cells.take(at)
+    cells.put(at, -np.inf)
+    second = flat.max(axis=1)
+    cells.put(at, top)  # the logits are whole again
+    rows = (second >= top - _TIE_GAP) | ~np.isfinite(top)
     if rows.any():
-        labels[rows] = softmax(logits[rows]).argmax(axis=1)
+        labels[rows] = softmax(flat[rows]).argmax(axis=1)
+    labels = labels.reshape(logits.shape[:-1])
     if features.ndim == 1:
         return np.take(labels, 0, axis=-1)
     return labels

@@ -20,23 +20,36 @@ from .stream import LabeledDataset
 
 @dataclass(frozen=True)
 class EvalContext:
+    """The classes of one experience: those seen up to it, those present in
+    it, and the optional infrequent split. Every cell of a seed shares it, so
+    the sorted class ids each macro average indexes are built once, here."""
+
     seen_classes: frozenset[int]
     present_classes: frozenset[int]
     infrequent_classes: frozenset[int] | None = None
+    seen_index: np.ndarray = field(init=False, repr=False, compare=False)
+    missing_index: np.ndarray = field(init=False, repr=False, compare=False)
+    infrequent_index: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "seen_classes", frozenset(int(c) for c in self.seen_classes))
-        object.__setattr__(self, "present_classes", frozenset(int(c) for c in self.present_classes))
+        object.__setattr__(self, "seen_classes", frozenset(map(int, self.seen_classes)))
+        object.__setattr__(self, "present_classes", frozenset(map(int, self.present_classes)))
         if self.infrequent_classes is not None:
-            object.__setattr__(
-                self, "infrequent_classes", frozenset(int(c) for c in self.infrequent_classes)
-            )
+            object.__setattr__(self, "infrequent_classes", frozenset(map(int, self.infrequent_classes)))
         if not self.present_classes <= self.seen_classes:
             raise ValueError("present classes must be a subset of seen classes")
+        object.__setattr__(self, "seen_index", _index(self.seen_classes))
+        object.__setattr__(self, "missing_index", _index(self.missing_classes))
+        infrequent = self.infrequent_classes
+        object.__setattr__(self, "infrequent_index", None if infrequent is None else _index(infrequent))
 
     @property
     def missing_classes(self) -> frozenset[int]:
         return self.seen_classes - self.present_classes
+
+
+def _index(classes) -> np.ndarray:
+    return np.array(sorted(classes), dtype=np.intp)
 
 
 @dataclass
@@ -53,8 +66,10 @@ class RunRecord:
     excluded_classes: tuple[int, ...] = field(default=())
 
 
-def _macro(per_class: np.ndarray, class_set) -> float | None:
-    values = per_class[np.asarray(class_set, dtype=np.intp)]
+def _macro(per_class: np.ndarray, classes) -> float | None:
+    """Mean accuracy over ``classes`` (any index of ``per_class``), leaving
+    out classes without test items; None when none is left."""
+    values = per_class[classes]
     values = values[~np.isnan(values)]
     if not values.size:
         return None
@@ -78,26 +93,27 @@ def evaluate(
     # hits / totals per class: both are exact integer counts, so each entry
     # equals the mean of the class's boolean hit mask bit for bit
     c = test_set.num_classes
-    totals = np.bincount(test_set.labels, minlength=c)
+    totals = test_set.class_counts
     hits = np.bincount(test_set.labels[correct], minlength=c)
     per_class = np.full(c, np.nan)
-    np.divide(hits, totals, out=per_class, where=totals > 0)
-    excluded = np.flatnonzero(totals == 0).tolist()
+    has_items = totals > 0
+    np.divide(hits, totals, out=per_class, where=has_items)
 
     record = RunRecord(
         experience_index=experience_index,
         strategy=strategy,
         seed=seed,
-        ta=_macro(per_class, range(c)),
-        sca=_macro(per_class, sorted(ctx.seen_classes)),
-        mca=_macro(per_class, sorted(ctx.missing_classes)),
+        ta=_macro(per_class, has_items),
+        sca=_macro(per_class, ctx.seen_index),
+        mca=_macro(per_class, ctx.missing_index),
         per_class_acc=per_class,
-        excluded_classes=tuple(excluded),
+        excluded_classes=tuple(np.flatnonzero(~has_items).tolist()),
     )
-    if ctx.infrequent_classes is not None:
-        frequent = set(range(c)) - ctx.infrequent_classes
-        record.infrequent_acc = _macro(per_class, sorted(ctx.infrequent_classes))
-        record.frequent_acc = _macro(per_class, sorted(frequent))
+    if ctx.infrequent_index is not None:
+        frequent = np.ones(c, dtype=bool)
+        frequent[ctx.infrequent_index] = False
+        record.infrequent_acc = _macro(per_class, ctx.infrequent_index)
+        record.frequent_acc = _macro(per_class, frequent)
     return record
 
 

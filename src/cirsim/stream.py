@@ -49,6 +49,17 @@ class LabeledDataset:
         return self.features.shape[1]
 
     @property
+    def class_counts(self) -> np.ndarray:
+        """Number of instances of each class id, read-only. Computed on first
+        access and cached."""
+        cached = self.__dict__.get("_class_counts")
+        if cached is None:
+            cached = np.bincount(self.labels, minlength=self.num_classes)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_class_counts", cached)
+        return cached
+
+    @property
     def per_class_index(self) -> dict[int, np.ndarray]:
         """Map class id -> ascending array of instance indices, covering all
         classes. Computed on first access and cached; the arrays are
@@ -58,8 +69,7 @@ class LabeledDataset:
             # a stable sort keeps each class's indices ascending
             order = np.argsort(self.labels, kind="stable")
             order.flags.writeable = False
-            counts = np.bincount(self.labels, minlength=self.num_classes)
-            pools = np.split(order, np.cumsum(counts)[:-1])
+            pools = np.split(order, np.cumsum(self.class_counts)[:-1])
             cached = dict(zip(range(self.num_classes), pools))
             object.__setattr__(self, "_per_class_index", cached)
         return cached
@@ -194,23 +204,32 @@ class Stream:
 
     def manifest_text(self, config_digest: str | None = None) -> str:
         """The manifest as ``json.dumps(indent=1)`` text and a newline;
-        ``config_digest``, when given, is stored as its last key.
-
-        Each experience is dumped on its own and indented into place (a JSON
-        string holds no raw newline), which gives the same text without
-        holding every small chunk of the whole manifest at once."""
+        ``config_digest``, when given, is stored as its last key."""
         manifest = self.to_manifest()
-        experiences, manifest["experiences"] = manifest["experiences"], []
         if config_digest is not None:
             manifest["config_digest"] = config_digest
-        text = json.dumps(manifest, indent=1) + "\n"
-        if not experiences:
-            return text
-        items = ",\n  ".join(json.dumps(e, indent=1).replace("\n", "\n  ") for e in experiences)
-        return text.replace('"experiences": []', f'"experiences": [\n  {items}\n ]', 1)
+        return _indented_json(manifest, 0) + "\n"
 
     def save_manifest(self, path, config_digest: str | None = None) -> None:
         files.write_atomic(path, self.manifest_text(config_digest))
+
+
+def _indented_json(value, depth: int) -> str:
+    """``json.dumps(value, indent=1)`` of a value nested ``depth`` levels deep
+    in the document. Strings, floats and keys go through ``json.dumps``; a
+    list of plain ints, the bulk of a manifest, is joined from ``str``s, where
+    ``json.dumps(indent=...)`` would run its pure-Python encoder per int."""
+    if isinstance(value, (dict, list)) and value:
+        inner = ",\n" + " " * (depth + 1)
+        if isinstance(value, dict):
+            items = (f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items())
+        elif set(map(type, value)) == {int}:  # not bool, whose JSON is true/false
+            items = map(str, value)
+        else:
+            items = (_indented_json(v, depth + 1) for v in value)
+        opening, closing = "{}" if isinstance(value, dict) else "[]"
+        return f"{opening}{inner[1:]}{inner.join(items)}\n{' ' * depth}{closing}"
+    return json.dumps(value)
 
 
 def make_synthetic_dataset(
@@ -350,16 +369,33 @@ def save_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> LabeledDataset:
+    """Read a dataset written by ``save_dataset_csv``. Labels must lie in
+    [0, ``num_classes``); without it, the class count is the largest label
+    plus one. A row that does not parse, holds a non-finite feature, has
+    another feature count than the first row or an out-of-range label raises
+    ``ValueError`` naming the file and line."""
     labels, rows = [], []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         for row in reader:
             if not row or row[0] == "label":
                 continue
-            labels.append(int(row[0]))
-            features = [float(v) for v in row[1:]]
+            where = f"{path}, line {reader.line_num}"
+            try:
+                label, features = int(row[0]), [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{exc} in {where}") from None
             if not all(map(math.isfinite, features)):
-                raise ValueError(f"non-finite feature in {path}, line {reader.line_num}")
+                raise ValueError(f"non-finite feature in {where}")
+            if rows and len(features) != len(rows[0]):
+                raise ValueError(
+                    f"{len(features)} features in {where}; the rows before it have "
+                    f"{len(rows[0])}"
+                )
+            if label < 0 or (num_classes is not None and label >= num_classes):
+                bound = "num_classes" if num_classes is None else num_classes
+                raise ValueError(f"label {label} in {where} lies outside [0, {bound})")
+            labels.append(label)
             rows.append(features)
     if not rows:
         raise ValueError(f"no instances found in {path}")

@@ -159,6 +159,38 @@ def test_a_csv_dataset_with_the_wrong_feature_count_exits_2_naming_both(
     assert not (tmp_path / "out" / "error_report.json").exists()
 
 
+_GOOD_ROWS = "".join(f"{c},0.{c}5,1.{c}\n" for c in range(5))  # C = 5, two features
+
+
+@pytest.mark.parametrize("bad_file, bad_row, message", [
+    # a ragged row once surfaced numpy's "inhomogeneous shape" error, with no line
+    ("train.csv", "3,0.5\n", "1 features in {path}, line 7; the rows before it have 2"),
+    ("test.csv", "3,0.5,1.0,2.0\n", "3 features in {path}, line 7; the rows before it have 2"),
+    # an out-of-range label once read "labels must lie in [0, num_classes)"
+    ("test.csv", "7,0.5,1.0\n", "label 7 in {path}, line 7 lies outside [0, 5)"),
+    ("train.csv", "-1,0.5,1.0\n", "label -1 in {path}, line 7 lies outside [0, num_classes)"),
+    ("train.csv", "x,0.5,1.0\n",
+     "invalid literal for int() with base 10: 'x' in {path}, line 7"),
+])
+def test_a_malformed_csv_dataset_row_exits_2_naming_its_file_and_line(
+    tmp_path, capsys, bad_file, bad_row, message
+):
+    for name in ("train.csv", "test.csv"):
+        extra = bad_row if name == bad_file else ""
+        (tmp_path / name).write_text("label,f0,f1\n" + _GOOD_ROWS + extra)
+    raw = small_config(tmp_path / "out", dataset={
+        "kind": "csv", "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+    })
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == harness.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: dataset: {message.format(path=tmp_path / bad_file)}\n"
+    assert not list(tmp_path.rglob("metrics.csv"))
+    assert not (tmp_path / "out" / "error_report.json").exists()
+
+
 # -- the one file reader ---------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from cirsim import analysis, cli, files, harness, learner
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
-from cirsim.metrics import parse_csv
+from cirsim.metrics import EvalContext, parse_csv
 from cirsim.stream import Stream
 
 
@@ -160,6 +160,29 @@ def test_run_serialises_each_seed_manifest_once(tmp_path, monkeypatch):
     assert serialised == [cfg.digest()] * 2  # one per seed, not per cell
     monkeypatch.undo()
     _assert_manifests_match_reference(tmp_path, out, cfg)
+
+
+def test_run_builds_one_evaluation_context_per_seed_and_experience(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(
+        small_config(out, strategies=["naive", "er-rs", "er-fa"], seeds=[0, 1])
+    )
+    built = []
+
+    def counting(*args):
+        built.append(EvalContext(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness.metrics, "EvalContext", counting)
+    assert harness.run(cfg) == harness.EXIT_OK
+    n = cfg.generator.n
+    assert len(built) == 2 * n  # one per seed and experience, not one per cell
+    train_set, _ = harness.load_inputs(cfg)
+    for seed, contexts in zip(cfg.seeds, (built[:n], built[n:])):
+        seen = set()
+        for exp, ctx in zip(harness.build_stream(cfg, train_set, seed)[0], contexts):
+            seen |= exp.present_classes
+            assert ctx == EvalContext(frozenset(seen), exp.present_classes)
 
 
 def test_resume_rewrites_every_torn_manifest(tmp_path):
@@ -603,8 +626,10 @@ def test_cell_step_puts_its_rows_on_disk(tmp_path):
     manifest = stream.manifest_text(cfg.digest())
     cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, manifest)
     cell.start()
+    seen = set()
     for exp in stream.experiences[:3]:
-        cell.step(exp)
+        seen |= exp.present_classes
+        cell.step(exp, EvalContext(frozenset(seen), exp.present_classes))
         for csv in (paths.metrics_csv, paths.buffer_trace_csv):
             assert csv.read_text().splitlines()[-1].startswith(f"{exp.index},")
 
@@ -913,6 +938,75 @@ def test_append_goes_on_after_a_short_write(tmp_path, monkeypatch):
     text = "".join(f"{i},{i * 7},{i % 3}\n" for i in range(50))
     files.append(path, text)
     assert path.read_text() == text
+
+
+def test_a_locked_directory_refuses_a_second_lock_until_released(tmp_path):
+    # flock belongs to the open file description, so a second open of the
+    # directory sees the lock held, in this process as in another
+    with files.lock_dir(tmp_path):
+        with pytest.raises(BlockingIOError):
+            with files.lock_dir(tmp_path):
+                pass
+    with files.lock_dir(tmp_path):  # released: the first fd was closed
+        pass
+    assert list(tmp_path.iterdir()) == []  # the lock made no file
+
+
+@pytest.mark.parametrize("command", ["run", "run --resume", "analyze"])
+def test_a_run_directory_locked_by_another_process_exits_2_and_keeps_every_byte(
+    tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, small_config(out, seeds=[0], checkpoint_every=2))
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    argv = ["analyze", str(out), "--all"] if command == "analyze" else [
+        *command.split(), str(path)]
+    with files.lock_dir(out):  # what another cirsim process would hold
+        assert cli.main(argv) == harness.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {out} is locked: another cirsim run or analyze is writing it\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_a_run_that_analyzes_and_then_an_analyze_in_one_process_both_succeed(tmp_path):
+    # run analyzes under its own lock; each command releases it when it ends
+    out = tmp_path / "out"
+    raw = small_config(out, seeds=[0], checkpoint_every=2,
+                       analysis={"block_distance": {"enabled": True}})
+    path = write_config(tmp_path, raw)
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK
+    assert (out / "naive" / "seed0" / "analysis" / "block_distance.csv").is_file()
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    assert cli.main(["run", str(path), "--resume"]) == harness.EXIT_OK
+    with files.lock_dir(out):  # no command left the lock held
+        pass
+
+
+def test_an_analyze_of_a_missing_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["analyze", str(tmp_path / "missing")]) == harness.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no run directory at {tmp_path / 'missing'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _assert_numeric_env(record: dict) -> None:
+    env = record["numeric_env"]
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["blas_core"] is None or (isinstance(env["blas_core"], str) and env["blas_core"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_summary_and_error_report_record_the_numeric_environment(tmp_path):
+    # both files are already non-deterministic; no deterministic output changes
+    cfg = ExperimentConfig.from_dict(small_config(tmp_path / "ok", seeds=[0]))
+    assert harness.run(cfg) == harness.EXIT_OK
+    _assert_numeric_env(json.loads((tmp_path / "ok" / "summary.json").read_text()))
+    raw = small_config(tmp_path / "bad", seeds=[0], train={
+        "lr": 1e9, "epochs_per_experience": 5, "batch_size": 16, "replay_mix": 0.5})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
+    _assert_numeric_env(json.loads((tmp_path / "bad" / "error_report.json").read_text()))
 
 
 class _Killed(BaseException):

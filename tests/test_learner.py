@@ -198,6 +198,45 @@ def test_stacked_predict_labels_equals_each_model(logits, one_d):
     assert got.shape == ((s,) if one_d else logits.shape[:2])
 
 
+def _count_rule_rows(logits):
+    """The rows the tie check sent to the softmax before its second-max form:
+    more than one logit >= top - _TIE_GAP, or a top that is not finite."""
+    top = np.take_along_axis(logits, logits.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    near = np.count_nonzero(logits >= top[..., None] - learner._TIE_GAP, axis=-1)
+    return (near > 1) | ~np.isfinite(top)
+
+
+@given(logits=adversarial_logits() | stacked_logits(), one_d=st.booleans())
+@example(logits=np.array([[0.5], [-3.0]]), one_d=False)  # C = 1: no second logit
+@example(logits=np.array([[np.inf], [-np.inf], [np.nan]]), one_d=False)
+@example(logits=np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]]), one_d=False)
+@settings(max_examples=300, deadline=None)
+def test_second_max_tie_rule_selects_the_count_rule_rows(logits, one_d):
+    # 2-D, stacked (S, n, C) and 1-D calls alike: the softmax path gets
+    # exactly the count rule's rows, each as _forward gave it (no -inf left
+    # at its top), and the logits are whole again after the call
+    if one_d:
+        logits = logits[..., :1, :]
+    c = logits.shape[-1]
+    stack = logits.shape[:-2]
+    params = ModelParams(weights=[np.zeros((*stack, c, c))], biases=[np.zeros((*stack, c))])
+    features = np.zeros(c) if one_d else np.zeros((logits.shape[-2], c))
+    original = logits.copy()
+    handed, real_softmax = [], learner.softmax
+
+    def spy(rows):
+        handed.append(rows.copy())
+        return real_softmax(rows)
+
+    with (mock.patch.object(learner, "_forward", lambda p, x: (None, None, logits)),
+          mock.patch.object(learner, "softmax", spy), np.errstate(invalid="ignore")):
+        predict_labels(params, features)
+    want = original.reshape(-1, c)[_count_rule_rows(original).reshape(-1)]
+    got = np.concatenate(handed) if handed else np.empty((0, c))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(logits, original, equal_nan=True)
+
+
 @given(
     activation=st.sampled_from(["relu", "tanh"]),
     hidden=st.lists(st.integers(1, 64), max_size=2),

@@ -30,6 +30,15 @@ def test_synthetic_sizes_forced_by_arguments():
     assert len(test) == 2  # 10% of 10, floored to at least 1 per class
 
 
+def test_class_counts_are_cached_read_only_and_cover_every_class():
+    data = LabeledDataset(np.zeros((5, 2)), np.array([3, 0, 3, 3, 1]), num_classes=5)
+    counts = data.class_counts
+    assert counts.tolist() == [1, 1, 0, 3, 0]
+    assert data.class_counts is counts
+    with pytest.raises(ValueError):
+        counts[0] = 7
+
+
 def test_synthetic_same_seed_bit_identical():
     a_train, a_test = make_synthetic_dataset(5, 20, 6, 0.3, np.random.default_rng(42))
     b_train, b_test = make_synthetic_dataset(5, 20, 6, 0.3, np.random.default_rng(42))
@@ -284,6 +293,36 @@ def test_manifest_text_equals_json_dumps(experiences, notes, dataset_ref, config
     if config_digest is not None:
         manifest["config_digest"] = config_digest
     assert stream.manifest_text(config_digest) == json.dumps(manifest, indent=1) + "\n"
+
+
+_SLOTS = Provenance("slot_assignment", slots=((3, 0), (7, 2)))
+_COLUMN = Provenance("occurrence_column", column=(0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("experiences, notes", [
+    pytest.param([], ["no experiences"], id="no-experiences"),
+    pytest.param([([], {0}, _COLUMN, ())], [], id="an-experience-with-no-instances"),
+    pytest.param([([4, 1], {1}, _SLOTS, ()), ([2], {2}, _COLUMN, ("x",))], [],
+                 id="both-provenance-kinds"),
+    pytest.param([([0], set(), Provenance("slot_assignment", slots=()), ()),
+                   ([], set(), Provenance("occurrence_column", column=()), ())], [],
+                 id="empty-slots-and-column"),
+    pytest.param([([5], {5}, _SLOTS, ('say "hi"', "café ☃", "tab\tline\n"))],
+                 ['a "quoted" note', "naïve \\ back\\slash", "漢\U0001f600"],
+                 id="notes-and-flags-that-need-escaping"),
+])
+def test_manifest_text_equals_json_dumps_at_the_edges(experiences, notes):
+    stream = Stream(
+        experiences=tuple(Experience(i, *e) for i, e in enumerate(experiences)),
+        dataset_ref='ref "é"',
+        generator_config_hash="h",
+        notes=tuple(notes),
+    )
+    for digest in (None, "abc"):
+        manifest = stream.to_manifest()
+        if digest is not None:
+            manifest["config_digest"] = digest
+        assert stream.manifest_text(digest) == json.dumps(manifest, indent=1) + "\n"
 
 
 def test_dataset_csv_round_trip(tmp_path):
