@@ -77,17 +77,28 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     return train_set, test_set
 
 
-def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int):
-    """Returns (stream, occurrence matrix or None) for one run seed."""
+def build_stream(cfg: ExperimentConfig, dataset: LabeledDataset, seed: int) -> Stream:
+    """The stream of one run seed. A sampling experience whose occurrence
+    column lists more classes than ``generator.s`` is a config error: each
+    class would get ``s // classes`` = 0 instances. Within that bound every
+    listed class is drawn, so an experience's classes are its column."""
     rng = derive_rng(seed, "stream")
     if cfg.generator.kind == "slot":
         # the generator owns its rng; scope the seed so other components
         # never share it
         slot_cfg = cfg.generator.slot_config(int(rng.integers(2**63)))
-        return generate_slot_stream(dataset, slot_cfg), None
+        return generate_slot_stream(dataset, slot_cfg)
     samp_cfg = cfg.generator.sampling_config(dataset.num_classes, seed)
     occurrence = build_occurrence_matrix(samp_cfg, rng)
-    return realize_stream(dataset, occurrence, samp_cfg, rng), occurrence
+    counts = occurrence.matrix.sum(axis=0)
+    crowded = np.flatnonzero(counts > samp_cfg.experience_size)
+    if crowded.size:
+        i = int(crowded[0])
+        raise ConfigError(
+            f"generator.s ({samp_cfg.experience_size}) is below the {int(counts[i])} classes "
+            f"of experience {i} at seed {seed}: each class needs at least one instance"
+        )
+    return realize_stream(dataset, occurrence, samp_cfg, rng)
 
 
 def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None:
@@ -222,9 +233,6 @@ class Cell:
     evaluation context to ``step(exp, ctx)``: buffer update, evaluation, CSV
     rows appended by path, and at checkpoint points the checkpoint and state.
     A cell holds no open file.
-
-    ``stop_after`` ends the cell early after the given experience index
-    (used to exercise crash/resume behavior).
     """
 
     def __init__(
@@ -238,14 +246,12 @@ class Cell:
         paths: CellPaths,
         manifest: str,
         resume: bool = False,
-        stop_after: int | None = None,
     ):
         self.cfg, self.train_set, self.test_set, self.stream = cfg, train_set, test_set, stream
         self.strategy, self.seed, self.paths = strategy, seed, paths
-        self.manifest, self.resume, self.stop_after = manifest, resume, stop_after
+        self.manifest, self.resume = manifest, resume
         self.digest = cfg.digest()
         self.last_record: metrics.RunRecord | None = None  # of this call's steps
-        self.done = False
 
     def start(self) -> None:
         cfg, paths, seed, digest = self.cfg, self.paths, self.seed, self.digest
@@ -335,8 +341,7 @@ class Cell:
 
         is_last = exp.index == len(self.stream) - 1
         at_interval = cfg.checkpoint_every > 0 and (exp.index + 1) % cfg.checkpoint_every == 0
-        stopping = self.stop_after is not None and exp.index >= self.stop_after
-        if is_last or at_interval or stopping:
+        if is_last or at_interval:
             paths = self.paths
             learner.save_checkpoint(
                 learner.snapshot(self.params, exp.index, config_digest=digest),
@@ -354,7 +359,6 @@ class Cell:
                 "buffer": None if self.buffer is None else self.buffer.to_state(),
             }
             files.write_atomic(paths.state_file(exp.index), json.dumps(state))
-        self.done = is_last or stopping
 
 
 def run_group(cells: list[Cell], running: dict) -> None:
@@ -375,7 +379,7 @@ def run_group(cells: list[Cell], running: dict) -> None:
     seen: set[int] = set()  # the classes of every experience so far
     for exp in stream:
         seen |= exp.present_classes
-        active = [c for c in cells if not c.done and c.start_index <= exp.index]
+        active = [c for c in cells if c.start_index <= exp.index]
         if active and len(exp) > 0:
             x = train_set.features[exp.train_instances]
             y = train_set.labels[exp.train_instances]
@@ -410,14 +414,13 @@ def run_cell(
     seed: int,
     paths: CellPaths,
     resume: bool = False,
-    stop_after: int | None = None,
 ) -> metrics.RunRecord | None:
     """Run one (strategy, seed) cell on its own, a group of one (see
     ``Cell`` for the arguments); returns the record of the last experience
     it ran, None when it ran none."""
     cell = Cell(
         cfg, train_set, test_set, stream, strategy, seed, paths,
-        stream.manifest_text(cfg.digest()), resume=resume, stop_after=stop_after,
+        stream.manifest_text(cfg.digest()), resume=resume,
     )
     run_group([cell], {})
     return cell.last_record
@@ -454,27 +457,25 @@ def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
 # -- grid run -------------------------------------------------------------------
 
 
-def run(
-    cfg: ExperimentConfig,
-    out_dir: Path | str | None = None,
-    resume: bool = False,
-    stop_after: int | None = None,
-) -> int:
+def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool = False) -> int:
     """Execute the full strategy x seed grid; returns a process exit code.
-    The output directory stays locked (``_exclusive``) until it returns."""
+    The output directory stays locked (``_exclusive``) until it returns.
+    ``summary.json`` is removed first and written once every cell finished,
+    so a run that stops any other way leaves none."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     train_set, test_set = load_inputs(cfg)
     out.mkdir(parents=True, exist_ok=True)
     with _exclusive(out):
+        # an earlier run's summary describes its own grid, and its failure
+        # report would mark this run's outputs incomplete; a kill leaves
+        # <name>.tmp files
+        for stale in [out / "summary.json", out / "error_report.json", *out.glob("*.tmp")]:
+            stale.unlink(missing_ok=True)
         digest = cfg.digest()
         files.write_atomic(
             out / "config.json",
             json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
         )
-        # an earlier run's failure report would mark this run's outputs
-        # incomplete; a kill leaves <name>.tmp files
-        for stale in [out / "error_report.json", *out.glob("*.tmp")]:
-            stale.unlink(missing_ok=True)
         if not resume:
             _remove_stale_cells(out, cfg)
 
@@ -482,22 +483,19 @@ def run(
         try:
             for seed in cfg.seeds:
                 running = {"seed": seed}
-                stream = build_stream(cfg, train_set, seed)[0]
+                stream = build_stream(cfg, train_set, seed)
                 manifest = stream.manifest_text(digest)  # the one serialisation per seed
                 cells = [
                     Cell(
                         cfg, train_set, test_set, stream, strategy, seed,
-                        cell_dir(out, strategy, seed), manifest,
-                        resume=resume, stop_after=stop_after,
+                        cell_dir(out, strategy, seed), manifest, resume=resume,
                     )
                     for strategy in cfg.strategies
                 ]
                 run_group(cells, running)
             running.clear()
             _write_summary(out, cfg)
-            if stop_after is None and (
-                cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka
-            ):
+            if cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka:
                 return _analyze(out, force_all=False)  # under this run's lock
         except ConfigError:
             raise
@@ -599,9 +597,7 @@ def _agg(values: list[float | None]) -> dict | None:
 
 def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
     """Aggregate final metrics per strategy from the last row of each cell's
-    ``metrics.csv``. A cell that stopped before the last experience of its
-    stream (``stop_after``) is listed under ``incomplete_cells`` with the
-    last experience it reached; the key is absent when every cell finished."""
+    ``metrics.csv``; every cell of the grid has finished."""
     summary = {
         "config_digest": cfg.digest(),
         "created_unix": time.time(),
@@ -609,22 +605,11 @@ def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
         "seeds": list(cfg.seeds),
         "strategies": {},
     }
-    last_index = cfg.generator.n - 1  # every generator yields generator.n experiences
     for strategy in cfg.strategies:
-        csvs = [cell_dir(out, strategy, seed).metrics_csv for seed in cfg.seeds]
-        rows = [row for row in map(metrics.last_row, csvs) if row is not None]
-        if not rows:
-            continue
-        entry = {f"final_{m}": _agg([row[m] for row in rows]) for m in ("ta", "sca", "mca")}
-        cut_short = [
-            {"seed": row["seed"], "incomplete": True,
-             "last_experience_index": row["experience_index"]}
-            for row in rows
-            if row["experience_index"] < last_index
-        ]
-        if cut_short:
-            entry["incomplete_cells"] = cut_short
-        summary["strategies"][strategy] = entry
+        rows = [metrics.last_row(cell_dir(out, strategy, seed).metrics_csv) for seed in cfg.seeds]
+        summary["strategies"][strategy] = {
+            f"final_{m}": _agg([row[m] for row in rows]) for m in ("ta", "sca", "mca")
+        }
     files.write_atomic(out / "summary.json", json.dumps(summary, indent=1) + "\n")
 
 
@@ -632,11 +617,12 @@ def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
 
 
 def inspect(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> dict:
-    """Stream statistics without training: occurrence/presence matrix CSV,
-    first occurrences, repetition rates, scenario classification, coverage."""
+    """Stream statistics without training: class-by-experience presence
+    matrix CSV, first occurrences, repetition rates, scenario classification,
+    coverage."""
     train_set, _ = load_inputs(cfg)
     seed = cfg.seeds[0]
-    stream, occurrence = build_stream(cfg, train_set, seed)
+    stream = build_stream(cfg, train_set, seed)
     report_info = verify_scenario_properties(stream, train_set)
 
     c, n = train_set.num_classes, len(stream)
@@ -678,8 +664,7 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        matrix = occurrence.matrix if occurrence is not None else presence
-        _write_matrix_csv(out / "occurrence.csv", matrix, cfg.digest())
+        _write_matrix_csv(out / "occurrence.csv", presence, cfg.digest())
         files.write_atomic(out / "inspect.json", json.dumps(report, indent=1) + "\n")
     return report
 
@@ -739,7 +724,7 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
         rows = probe_rng.choice(len(test_set), size=probe_size, replace=False)
         return train_set, test_set.features[rows]
 
-    stream_for = functools.cache(lambda seed: build_stream(cfg, inputs()[0], seed)[0])
+    stream_for = functools.cache(lambda seed: build_stream(cfg, inputs()[0], seed))
 
     for strategy in cfg.strategies:
         for seed in cfg.seeds:

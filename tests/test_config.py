@@ -314,7 +314,7 @@ def test_generator_config_hashes_match_golden(name):
     train, _ = harness.load_inputs(cfg)
     found = []
     for seed in cfg.seeds:
-        stream = harness.build_stream(cfg, train, seed)[0]
+        stream = harness.build_stream(cfg, train, seed)
         text = stream.manifest_text(cfg.digest())
         found.append((stream.generator_config_hash, hashlib.sha256(text.encode()).hexdigest()))
     assert found == golden

@@ -2,7 +2,10 @@ import builtins
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -42,6 +45,30 @@ def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+class _Killed(BaseException):
+    """A kill: no handler of the program catches it, and the write it
+    interrupts cleans nothing up."""
+
+
+def _run_killed_after(cfg, strategy, index, out_dir=None) -> None:
+    """Run ``cfg`` and kill it right after ``strategy``'s cell of the grid's
+    last seed has recorded experience ``index``: its rows, and at a
+    checkpoint point its checkpoint and ``state_<index>.json``, have landed.
+    Earlier seeds have finished, as in a real run, and no summary is left."""
+    step, seed = harness.Cell.step, cfg.seeds[-1]
+
+    def killing_step(cell, exp, ctx):
+        step(cell, exp, ctx)
+        if (cell.strategy, cell.seed, exp.index) == (strategy, seed, index):
+            raise _Killed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness.Cell, "step", killing_step)
+        with pytest.raises(_Killed):
+            harness.run(cfg, out_dir=out_dir)
+    assert not Path(out_dir or cfg.output_dir, "summary.json").exists()
 
 
 def test_grid_file_count_contract(tmp_path):
@@ -132,7 +159,7 @@ def test_run_builds_each_seed_stream_once(tmp_path, monkeypatch):
 
 def _reference_manifest(cfg, seed, path) -> bytes:
     train_set, _ = harness.load_inputs(cfg)
-    harness.build_stream(cfg, train_set, seed)[0].save_manifest(path, config_digest=cfg.digest())
+    harness.build_stream(cfg, train_set, seed).save_manifest(path, config_digest=cfg.digest())
     return path.read_bytes()
 
 
@@ -180,21 +207,21 @@ def test_run_builds_one_evaluation_context_per_seed_and_experience(tmp_path, mon
     train_set, _ = harness.load_inputs(cfg)
     for seed, contexts in zip(cfg.seeds, (built[:n], built[n:])):
         seen = set()
-        for exp, ctx in zip(harness.build_stream(cfg, train_set, seed)[0], contexts):
+        for exp, ctx in zip(harness.build_stream(cfg, train_set, seed), contexts):
             seen |= exp.present_classes
             assert ctx == EvalContext(frozenset(seen), exp.present_classes)
 
 
 def test_resume_rewrites_every_torn_manifest(tmp_path):
-    # a run stopped mid-stream, whose started cells' manifests were then torn
-    # (naive's too) and one of whose cells was removed: every cell, resumed or
+    # a run killed mid-stream, whose cells' manifests were then torn (naive's
+    # too) and one of whose strategies was removed: every cell, resumed or
     # started afresh, writes the seed's manifest whole
     out = tmp_path / "out"
     strategies = ["naive", "er-rs", "er-fa"]
     cfg = ExperimentConfig.from_dict(
         small_config(out, strategies=strategies, seeds=[0, 1], checkpoint_every=2)
     )
-    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    _run_killed_after(cfg, "er-fa", 3)
     for seed in (0, 1):
         for strategy in strategies[:2]:
             torn = out / strategy / f"seed{seed}" / "stream_manifest.json"
@@ -221,7 +248,7 @@ def test_resume_refuses_a_changed_csv_dataset(tmp_path, capsys):
         strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2,
     )
     path = write_config(tmp_path, raw)
-    assert harness.run(ExperimentConfig.from_dict(raw), stop_after=3) == harness.EXIT_OK
+    _run_killed_after(ExperimentConfig.from_dict(raw), "er-rs", 3)
     manifest = out / "naive" / "seed0" / "stream_manifest.json"
     before = manifest.read_bytes()
     train_csv = tmp_path / "train.csv"
@@ -249,9 +276,7 @@ def test_stopped_and_resumed_grid_writes_the_uninterrupted_summary(tmp_path):
     cfg = ExperimentConfig.from_dict(raw)
     resumed = tmp_path / "resumed"
     assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
-    assert harness.run(cfg, out_dir=resumed, stop_after=4) == harness.EXIT_OK
-    cut_short = json.loads((resumed / "summary.json").read_text())["strategies"]["naive"]
-    assert "incomplete_cells" in cut_short
+    _run_killed_after(cfg, "er-cb", 3, out_dir=resumed)  # and no summary is left
     assert harness.run(cfg, out_dir=resumed, resume=True) == harness.EXIT_OK
     summaries = []
     for run_dir in (tmp_path / "whole", resumed):
@@ -405,7 +430,7 @@ def test_fresh_run_removes_cells_outside_its_grid(tmp_path):
     out = tmp_path / "out"
     wide = ExperimentConfig.from_dict(small_config(out, seeds=[0, 1]))
     narrow = ExperimentConfig.from_dict(small_config(out, strategies=["naive"], seeds=[0]))
-    assert harness.run(narrow, stop_after=3) == harness.EXIT_OK
+    _run_killed_after(narrow, "naive", 3)  # checkpoint_every 0: no state, resumed afresh
     assert harness.run(wide, out_dir=tmp_path / "wide") == harness.EXIT_OK
     for cell in ("er-rs/seed0", "er-rs/seed1", "naive/seed1"):
         shutil.copytree(tmp_path / "wide" / cell, out / cell)
@@ -439,7 +464,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     cfg = ExperimentConfig.from_dict(raw)
     assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
 
-    assert harness.run(cfg, out_dir=tmp_path / "resumed", stop_after=2) == harness.EXIT_OK
+    _run_killed_after(cfg, "er-rs", 2, out_dir=tmp_path / "resumed")
     assert harness.run(cfg, out_dir=tmp_path / "resumed", resume=True) == harness.EXIT_OK
     for rel in [p.relative_to(tmp_path / "full")
                 for p in (tmp_path / "full").rglob("metrics.csv")]:
@@ -448,23 +473,57 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         assert full == resumed, rel
 
 
-def test_summary_marks_cells_cut_short(tmp_path):
+def _earlier_and_later_configs(out):
+    """A finished run's config and another config for the same directory."""
+    raw = small_config(out, seeds=[0, 1], checkpoint_every=2)
+    later = {**raw, "train": {**raw["train"], "lr": 0.05}}
+    return ExperimentConfig.from_dict(raw), ExperimentConfig.from_dict(later)
+
+
+def test_a_run_killed_over_a_finished_run_leaves_no_summary(tmp_path):
+    # the earlier summary described another config than the config.json and
+    # metrics.csv stamps the killed run left beside it
     out = tmp_path / "out"
-    cfg = ExperimentConfig.from_dict(small_config(out, checkpoint_every=2, seeds=[0, 1]))
-    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
-    summary = json.loads((out / "summary.json").read_text())
-    for strategy in ("naive", "er-rs"):
-        assert summary["strategies"][strategy]["incomplete_cells"] == [
-            {"seed": 0, "incomplete": True, "last_experience_index": 3},
-            {"seed": 1, "incomplete": True, "last_experience_index": 3},
-        ]
-    # finished, by resume or in one go: no key beyond the aggregates
-    assert harness.run(cfg, resume=True) == harness.EXIT_OK
-    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    earlier, later = _earlier_and_later_configs(out)
+    assert harness.run(earlier) == harness.EXIT_OK
+    _run_killed_after(later, "er-rs", 3)
+    assert json.loads((out / "config.json").read_text())["config_digest"] == later.digest()
+    assert harness.run(later, resume=True) == harness.EXIT_OK
+    assert harness.run(later, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    summaries = []
     for run_dir in (out, tmp_path / "whole"):
         summary = json.loads((run_dir / "summary.json").read_text())
-        for entry in summary["strategies"].values():
+        summary.pop("created_unix")
+        summaries.append(summary)
+        for entry in summary["strategies"].values():  # no key beyond the aggregates
             assert set(entry) == {"final_ta", "final_sca", "final_mca"}
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["config_digest"] == later.digest()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure", ["config error at seed 1", "runtime failure"])
+def test_a_run_that_fails_over_a_finished_run_leaves_no_summary(tmp_path, monkeypatch, failure):
+    out = tmp_path / "out"
+    earlier, later = _earlier_and_later_configs(out)
+    assert harness.run(earlier) == harness.EXIT_OK
+    if failure == "runtime failure":
+        later = ExperimentConfig.from_dict({**later.raw, "train": {
+            "lr": 1e9, "epochs_per_experience": 5, "batch_size": 16, "replay_mix": 0.5}})
+        assert harness.run(later) == harness.EXIT_RUNTIME
+        assert (out / "error_report.json").exists()
+    else:
+        build_stream = harness.build_stream
+
+        def refused_at_seed_1(cfg, dataset, seed):
+            if seed == 1:
+                raise ConfigError("no stream")
+            return build_stream(cfg, dataset, seed)
+
+        monkeypatch.setattr(harness, "build_stream", refused_at_seed_1)
+        with pytest.raises(ConfigError, match="no stream"):
+            harness.run(later)
+    assert not (out / "summary.json").exists()
 
 
 def test_resume_of_completed_run_keeps_summary_whole(tmp_path):
@@ -487,7 +546,7 @@ def test_resume_refuses_other_configs_state(tmp_path):
     out = tmp_path / "out"
     raw = small_config(out, checkpoint_every=2, strategies=["naive"], seeds=[0])
     cfg = ExperimentConfig.from_dict(raw)
-    harness.run(cfg, stop_after=3)
+    _run_killed_after(cfg, "naive", 3)
     other = dict(raw)
     other["train"] = {"lr": 0.05, "epochs_per_experience": 1, "batch_size": 16,
                       "replay_mix": 0.5}
@@ -503,7 +562,7 @@ def test_resume_rejects_other_state_version(tmp_path):
     out = tmp_path / "out"
     raw = small_config(out, checkpoint_every=2, strategies=["er-cb"], seeds=[0])
     cfg = ExperimentConfig.from_dict(raw)
-    harness.run(cfg, stop_after=3)
+    _run_killed_after(cfg, "er-cb", 3)
     path = out / "er-cb" / "seed0" / "state" / "state_00003.json"
     state = json.loads(path.read_text())
     state["state_version"] = 2
@@ -522,9 +581,10 @@ def test_resume_skips_torn_newest_state_or_checkpoint(tmp_path):
     assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
 
     resumed = tmp_path / "resumed"
-    assert harness.run(cfg, out_dir=resumed, stop_after=6) == harness.EXIT_OK
-    torn = {"er-rs": "state/state_00006.json", "er-cb": "checkpoints/ckpt_00006.npz",
-            "er-fa": "state/state_00006.json"}
+    _run_killed_after(cfg, "er-fa", 5, out_dir=resumed)
+    # each cell falls back to its state after experience 2
+    torn = {"er-rs": "state/state_00005.json", "er-cb": "checkpoints/ckpt_00005.npz",
+            "er-fa": "state/state_00005.json"}
     for strategy, rel in torn.items():
         newest = resumed / strategy / "seed0" / rel
         newest.write_bytes(newest.read_bytes()[:40])  # torn mid-write
@@ -543,7 +603,7 @@ def test_resume_drops_a_row_torn_at_any_byte(tmp_path):
     raw["generator"].update(n=13, s=20)
     cfg = ExperimentConfig.from_dict(raw)
     assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
-    assert harness.run(cfg, out_dir=tmp_path / "stopped", stop_after=11) == harness.EXIT_OK
+    _run_killed_after(cfg, "er-rs", 11, out_dir=tmp_path / "stopped")
     full, row12 = {}, {}
     for name in ("metrics.csv", "buffer_trace.csv"):
         full[name] = (tmp_path / "full" / "er-rs" / "seed0" / name).read_bytes()
@@ -589,7 +649,7 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
     assert sizes == ([4] + [1, 3] * 7) * 2
     train_set, test_set = harness.load_inputs(cfg)
     for seed in cfg.seeds:
-        stream, _ = harness.build_stream(cfg, train_set, seed)
+        stream = harness.build_stream(cfg, train_set, seed)
         for strategy in grid:
             sizes.clear()
             paths = harness.cell_dir(tmp_path / "alone", strategy, seed)
@@ -599,12 +659,50 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
             assert _tree_bytes(paths.root) == grouped
 
 
+_KERNEL_NEEDS = {"Haswell": "AVX2", "Sandybridge": "AVX"}  # the instructions each one runs
+
+
+@pytest.mark.parametrize("core", sorted(_KERNEL_NEEDS))
+def test_lockstep_equals_alone_under_other_openblas_kernels(tmp_path, core):
+    # output bytes may differ between OpenBLAS kernels, but under each one a
+    # stacked step must equal its models' own steps; a child process forces
+    # the kernel through its own environment
+    if harness._openblas_core() is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS bundled with numpy")
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get(_KERNEL_NEEDS[core]):
+        pytest.skip(f"this CPU lacks {_KERNEL_NEEDS[core]}, which the {core} kernel runs")
+    tests = Path(__file__).parent
+    args = [
+        f"{tests / 'test_harness.py'}::test_lockstep_cells_equal_each_cell_run_alone",
+        f"{tests / 'test_learner.py'}::test_stacked_step_equals_per_model_steps_bitwise",
+        "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path / 'child'}",
+    ]
+    child = (
+        "import sys, pytest\n"
+        "from cirsim import harness\n"
+        "print('blas_core', harness._openblas_core())\n"
+        f"sys.exit(pytest.main({args!r}))\n"
+    )
+    source = str(Path(harness.__file__).parents[1])  # the cirsim imported here
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[0] == f"blas_core {core}"
+    assert "2 passed" in done.stdout
+
+
 def test_resume_of_a_group_standing_at_different_points(tmp_path, monkeypatch):
     raw = small_config(tmp_path / "full", checkpoint_every=2, strategies=REPLAY_TRIO, seeds=[0])
     cfg = ExperimentConfig.from_dict(raw)
     assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
     resumed = tmp_path / "resumed"
-    assert harness.run(cfg, out_dir=resumed, stop_after=5) == harness.EXIT_OK
+    _run_killed_after(cfg, "er-fa", 5, out_dir=resumed)
     # er-cb falls back to its state after experience 3, the others resume at 6
     (resumed / "er-cb" / "seed0" / "state" / "state_00005.json").unlink()
     sizes = _spy_group_sizes(monkeypatch)
@@ -621,7 +719,7 @@ def test_cell_step_puts_its_rows_on_disk(tmp_path):
     # a crash after step() must find the experience's rows in both CSVs
     cfg = ExperimentConfig.from_dict(small_config(tmp_path / "out", strategies=["er-rs"], seeds=[0]))
     train_set, test_set = harness.load_inputs(cfg)
-    stream, _ = harness.build_stream(cfg, train_set, 0)
+    stream = harness.build_stream(cfg, train_set, 0)
     paths = harness.cell_dir(tmp_path / "out", "er-rs", 0)
     manifest = stream.manifest_text(cfg.digest())
     cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, manifest)
@@ -1009,11 +1107,6 @@ def test_summary_and_error_report_record_the_numeric_environment(tmp_path):
     _assert_numeric_env(json.loads((tmp_path / "bad" / "error_report.json").read_text()))
 
 
-class _Killed(BaseException):
-    """A kill: no handler of the program catches it, and the write it
-    interrupts cleans nothing up."""
-
-
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` but ``summary.json``, which holds a time."""
     return {
@@ -1113,7 +1206,7 @@ def test_a_kill_inside_the_resume_truncation_loses_no_rows(tmp_path, monkeypatch
         small_config(tmp_path / "out", strategies=["naive"], seeds=[0], checkpoint_every=2)
     )
     assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
-    assert harness.run(cfg, stop_after=5) == harness.EXIT_OK
+    _run_killed_after(cfg, "naive", 5)
     real_open = io.open
 
     class KilledAfterTwoLines:
@@ -1157,7 +1250,7 @@ def test_resume_clears_tmp_files_left_by_a_kill(tmp_path):
         small_config(out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2)
     )
     assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
-    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    _run_killed_after(cfg, "er-rs", 3)
     planted = [
         out / "naive" / "seed0" / "checkpoints" / "ckpt_00003.npz.tmp",
         out / "er-rs" / "seed0" / "state" / "state_00003.json.tmp",
@@ -1188,7 +1281,7 @@ def test_a_cell_whose_csv_lost_its_header_resumes_as_a_fresh_cell(tmp_path, dama
         generator={**small_config(None)["generator"], "n": 6},
     ))
     assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
-    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    _run_killed_after(cfg, "er-rs", 3)
     for name in damaged:
         path = out / "er-rs" / "seed0" / name
         if how == "deleted":
@@ -1205,7 +1298,7 @@ def test_a_stray_file_in_state_is_neither_read_nor_removed(tmp_path):
         small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=2)
     )
     assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
-    assert harness.run(cfg, stop_after=3) == harness.EXIT_OK
+    _run_killed_after(cfg, "naive", 3)
     stray = out / "naive" / "seed0" / "state" / "state_notes.json"
     stray.write_text("{}")
     assert harness.run(cfg, resume=True) == harness.EXIT_OK
@@ -1249,10 +1342,11 @@ def test_fresh_run_clears_an_earlier_runs_files(tmp_path):
 
 
 def test_resume_after_a_fresh_run_over_an_earlier_one(tmp_path):
-    # the earlier run's newer states must not stand in the way of the resume
+    # the earlier run's newer states must not stand in the way of the resume;
+    # with checkpoint_every 0 the kill leaves no state, so the cell starts afresh
     first, second = _rerun_configs(tmp_path / "out")
     assert harness.run(first) == harness.EXIT_OK
-    assert harness.run(second, stop_after=2) == harness.EXIT_OK
+    _run_killed_after(second, "naive", 2)
     assert harness.run(second, resume=True) == harness.EXIT_OK
     assert harness.run(second, out_dir=tmp_path / "whole") == harness.EXIT_OK
     for name in ("metrics.csv", "checkpoints/ckpt_00005.npz", "state/state_00005.json"):
@@ -1299,6 +1393,27 @@ def test_malformed_dataset_csv_is_config_error(tmp_path):
         harness.run(ExperimentConfig.from_dict(raw))
 
 
+@pytest.mark.parametrize("command", ["run", "inspect"])
+def test_a_sampling_experience_listing_more_classes_than_s_exits_2(tmp_path, capsys, command):
+    # s // classes instances per class would be 0: the experience would hold
+    # none of the classes its occurrence column lists
+    out = tmp_path / "out"
+    generator = {"kind": "sampling", "n": 4, "s": 4,
+                 "first_occurrence": {"kind": "geometric", "param": 1.0},
+                 "repetition": {"mode": "constant", "value": 1.0}}
+    raw = small_config(out, seeds=[4, 0], generator=generator)
+    assert cli.main([command, str(write_config(tmp_path, raw))]) == harness.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: generator.s (4) is below the 5 classes of experience 0 at seed 4: "
+        "each class needs at least one instance\n"
+    )
+    assert not list(tmp_path.rglob("metrics.csv"))
+    assert not list(tmp_path.rglob("occurrence.csv"))
+    # s equal to the class count gives each class one instance
+    raw["generator"]["s"] = 5
+    assert cli.main([command, str(write_config(tmp_path, raw))]) == harness.EXIT_OK
+
+
 class TestInspect:
     def test_slot_ci_classification(self, tmp_path):
         raw = small_config(
@@ -1324,6 +1439,32 @@ class TestInspect:
             assert row.split(",")[1:] == ["1"] * 6
         assert report["codomain_coverage"] == 1.0
         assert all(v == 0 for v in report["first_occurrence"].values())
+
+    @pytest.mark.parametrize("generator", [
+        {"n": 8, "s": 40, "repetition": {"mode": "constant", "value": 0.4}},
+        {"n": 12, "s": 5, "repetition": {"mode": "constant", "value": 0.7}},  # s // 5 = 1
+        {"n": 6, "s": 200, "repetition": {"mode": "constant", "value": 0.9}},  # pools below quota
+        {"n": 10, "s": 9, "repetition": {"mode": "bimodal", "fraction_infrequent": 0.4,
+                                         "p_low": 0.1, "p_high": 0.9}},
+    ])
+    def test_sampling_presence_matrix_equals_the_occurrence_matrix(self, tmp_path, generator):
+        # every class an occurrence column lists gets at least one instance,
+        # so the presence matrix inspect writes is the occurrence matrix
+        from cirsim.sampling_generator import build_occurrence_matrix
+        from cirsim.seeding import derive_rng
+
+        generator = {"kind": "sampling",
+                     "first_occurrence": {"kind": "geometric", "param": 0.3}, **generator}
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path / "out", generator=generator))
+        harness.inspect(cfg, tmp_path / "ins")
+        train_set, _ = harness.load_inputs(cfg)
+        seed = cfg.seeds[0]
+        occurrence = build_occurrence_matrix(
+            cfg.generator.sampling_config(train_set.num_classes, seed), derive_rng(seed, "stream")
+        )
+        lines = (tmp_path / "ins" / "occurrence.csv").read_text().splitlines()
+        written = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[2:]])
+        assert np.array_equal(written, occurrence.matrix)
 
     def test_bimodal_fraction_reported(self, tmp_path):
         raw = small_config(
