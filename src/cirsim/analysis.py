@@ -21,7 +21,6 @@ _ALPHA_CHUNK = 16
 class InterpolationCurve:
     alphas: np.ndarray
     accuracies: np.ndarray
-    endpoint_indices: tuple[int, int]  # (checkpoint a, checkpoint b)
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,7 @@ def interpolate_checkpoints(
             activation=a.activation,
         )
         accs.append((predict_labels(models, eval_features) == y).mean(axis=-1))
-    return InterpolationCurve(
-        alphas=alphas,
-        accuracies=np.concatenate(accs),
-        endpoint_indices=(ckpt_a.experience_index, ckpt_b.experience_index),
-    )
+    return InterpolationCurve(alphas=alphas, accuracies=np.concatenate(accs))
 
 
 def block_distance(theta_0: ModelParams, theta_j: ModelParams) -> BlockDistanceReport:

@@ -124,10 +124,6 @@ def validate_feasibility(cfg: ExperimentConfig, dataset: LabeledDataset) -> None
 # -- cell state (resume support) ----------------------------------------------
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
 def _restore_rng(state: dict) -> np.random.Generator:
     rng = np.random.default_rng(0)
     rng.bit_generator.state = state
@@ -179,8 +175,9 @@ def cell_dir(out_dir: Path, strategy: str, seed: int) -> CellPaths:
 
 def _saved_states(paths: CellPaths) -> dict[int, Path]:
     """index -> path of each ``state/state_<digits>.json``; any other file
-    in ``state/`` is not the cell's, and is neither read nor removed."""
-    names = (re.fullmatch(r"state_(\d+)\.json", p.name) for p in paths.states.iterdir())
+    in ``state/`` is not the cell's, and is neither read nor removed. A
+    missing ``state/`` lists none."""
+    names = (re.fullmatch(r"state_(\d+)\.json", p.name) for p in paths.states.glob("*"))
     return {int(m[1]): paths.states / m[0] for m in names if m}
 
 
@@ -223,13 +220,15 @@ class Cell:
     """One (strategy, seed) cell, trained over ``stream``, the seed's stream
     from ``build_stream``, as a step object.
 
-    ``start()`` removes the ``*.tmp`` files a kill left in the cell, then
-    resumes the cell from its newest good state, or writes its headers and
-    initial checkpoint; either way it writes ``manifest``, the text of the
-    stream's manifest. A cell resumes only if each of its CSVs starts with
-    its digest stamp, so rows never land in a file without its header. The
-    caller then trains ``params`` on each experience from ``start_index`` on,
-    with ``train_rng`` and ``buffer``, and hands the experience and its
+    Constructing a cell with ``resume`` reads and checks its newest good
+    resume point and writes nothing, so a refused resume changes no byte. A
+    point resumes only if each of the cell's CSVs starts with its digest
+    stamp, so rows never land in a file without its header. ``start()``
+    removes the ``*.tmp`` files a kill left in the cell, then resumes from
+    that point, or writes the headers and initial checkpoint; either way it
+    writes ``manifest``, the text of the stream's manifest. The caller then
+    trains ``params`` on each experience from ``start_index`` on, with
+    ``train_rng`` and ``buffer``, and hands the experience and its
     evaluation context to ``step(exp, ctx)``: buffer update, evaluation, CSV
     rows appended by path, and at checkpoint points the checkpoint and state.
     A cell holds no open file.
@@ -248,50 +247,57 @@ class Cell:
         resume: bool = False,
     ):
         self.cfg, self.train_set, self.test_set, self.stream = cfg, train_set, test_set, stream
-        self.strategy, self.seed, self.paths = strategy, seed, paths
-        self.manifest, self.resume = manifest, resume
+        self.strategy, self.seed, self.paths, self.manifest = strategy, seed, paths, manifest
         self.digest = cfg.digest()
-        self.last_record: metrics.RunRecord | None = None  # of this call's steps
+        self.policy = cfg.resolve_policy(strategy)
+        self.stamp = f"# config_digest={self.digest}\n"  # the first line of each CSV
+        self.csvs = [paths.metrics_csv] + ([paths.buffer_trace_csv] if self.policy else [])
+        self.point = self._resume_point() if resume else None
+
+    def _resume_point(self) -> tuple[int, dict, learner.ModelParams] | None:
+        """The newest good point (``_load_resume_point``), None where a CSV
+        lost its header; one of another state version, config or dataset is
+        a config error."""
+        point = _load_resume_point(self.paths)
+        if point is None:
+            return None
+        state = point[1]
+        if state.get("state_version") != STATE_VERSION:
+            raise ConfigError(
+                f"resume state has state_version {state.get('state_version')}, "
+                f"this version of cirsim reads state_version {STATE_VERSION}"
+            )
+        if state["config_digest"] != self.digest:
+            raise ConfigError(
+                "resume state was produced by a different config "
+                f"(digest {state['config_digest']} != {self.digest})"
+            )
+        _check_dataset_unchanged(self.paths.manifest, self.stream.dataset_ref)
+        if not all(_starts_with(csv, self.stamp.encode()) for csv in self.csvs):
+            return None  # the cell starts fresh
+        return point
 
     def start(self) -> None:
         cfg, paths, seed, digest = self.cfg, self.paths, self.seed, self.digest
-        policy = cfg.resolve_policy(self.strategy)
         paths.root.mkdir(parents=True, exist_ok=True)
         paths.checkpoints.mkdir(exist_ok=True)
         paths.states.mkdir(exist_ok=True)
+        for tmp in list(paths.root.rglob("*.tmp")):  # left by a kill
+            tmp.unlink()
 
         self.start_index = 0
+        policy = self.policy
         self.buffer = ReplayBuffer(max_size=cfg.buffer_size, policy=policy) if policy else None
         self.train_rng = derive_rng(seed, "learner")
         self.buffer_rng = derive_rng(seed, "buffer")
-
-        stamp = f"# config_digest={digest}\n"  # the first line of each CSV
-        csvs = [paths.metrics_csv] + ([paths.buffer_trace_csv] if self.buffer is not None else [])
-        for tmp in list(paths.root.rglob("*.tmp")):  # left by a kill
-            tmp.unlink()
-        point = _load_resume_point(paths) if self.resume else None
-        if point is not None:
-            latest, state, self.params = point
-            if state.get("state_version") != STATE_VERSION:
-                raise ConfigError(
-                    f"resume state has state_version {state.get('state_version')}, "
-                    f"this version of cirsim reads state_version {STATE_VERSION}"
-                )
-            if state["config_digest"] != digest:
-                raise ConfigError(
-                    "resume state was produced by a different config "
-                    f"(digest {state['config_digest']} != {digest})"
-                )
-            _check_dataset_unchanged(paths.manifest, self.stream.dataset_ref)
-            if not all(_starts_with(csv, stamp.encode()) for csv in csvs):
-                point = None  # a CSV lost its header: the cell starts fresh
-        if point is not None:
+        if self.point is not None:
+            latest, state, self.params = self.point
             if state["buffer"] is not None:
                 self.buffer = ReplayBuffer.from_state(state["buffer"])
             self.train_rng = _restore_rng(state["train_rng"])
             self.buffer_rng = _restore_rng(state["buffer_rng"])
             self.start_index = state["next_experience"]
-            for csv in csvs:
+            for csv in self.csvs:
                 _truncate_csv(csv, latest)
         else:
             # a fresh start owns the cell's directory: an earlier run's
@@ -314,12 +320,12 @@ class Cell:
                 learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
             )
             files.write_atomic(
-                paths.metrics_csv, stamp + metrics.csv_header(self.train_set.num_classes)
+                paths.metrics_csv, self.stamp + metrics.csv_header(self.train_set.num_classes)
             )
             if self.buffer is not None:
                 files.write_atomic(
                     paths.buffer_trace_csv,
-                    stamp + "experience_index,class_id,stored_count,observation_count,quota\n",
+                    self.stamp + "experience_index,class_id,stored_count,observation_count,quota\n",
                 )
         files.write_atomic(paths.manifest, self.manifest)
 
@@ -334,7 +340,6 @@ class Cell:
             self.params, self.test_set, ctx,
             experience_index=exp.index, strategy=self.strategy, seed=self.seed,
         )
-        self.last_record = record
         files.append(self.paths.metrics_csv, metrics.to_csv_row(record))
         if self.buffer is not None:
             files.append(self.paths.buffer_trace_csv, _trace_rows(self.buffer, exp.index))
@@ -354,8 +359,8 @@ class Cell:
                 "seed": self.seed,
                 "next_experience": exp.index + 1,
                 "seen_classes": ctx.seen_index.tolist(),
-                "train_rng": _rng_state(self.train_rng),
-                "buffer_rng": _rng_state(self.buffer_rng),
+                "train_rng": self.train_rng.bit_generator.state,
+                "buffer_rng": self.buffer_rng.bit_generator.state,
                 "buffer": None if self.buffer is None else self.buffer.to_state(),
             }
             files.write_atomic(paths.state_file(exp.index), json.dumps(state))
@@ -414,16 +419,14 @@ def run_cell(
     seed: int,
     paths: CellPaths,
     resume: bool = False,
-) -> metrics.RunRecord | None:
+) -> None:
     """Run one (strategy, seed) cell on its own, a group of one (see
-    ``Cell`` for the arguments); returns the record of the last experience
-    it ran, None when it ran none."""
+    ``Cell`` for the arguments)."""
     cell = Cell(
         cfg, train_set, test_set, stream, strategy, seed, paths,
         stream.manifest_text(cfg.digest()), resume=resume,
     )
     run_group([cell], {})
-    return cell.last_record
 
 
 def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
@@ -460,38 +463,44 @@ def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
 def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool = False) -> int:
     """Execute the full strategy x seed grid; returns a process exit code.
     The output directory stays locked (``_exclusive``) until it returns.
-    ``summary.json`` is removed first and written once every cell finished,
-    so a run that stops any other way leaves none."""
+    Every seed's stream and every cell's resume point are read and checked
+    before the first removal or write, so a run refused as a config error
+    changes no byte. ``summary.json`` is then removed, and written once
+    every cell finished, so a run that stops any other way leaves none."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     train_set, test_set = load_inputs(cfg)
     out.mkdir(parents=True, exist_ok=True)
     with _exclusive(out):
-        # an earlier run's summary describes its own grid, and its failure
-        # report would mark this run's outputs incomplete; a kill leaves
-        # <name>.tmp files
-        for stale in [out / "summary.json", out / "error_report.json", *out.glob("*.tmp")]:
-            stale.unlink(missing_ok=True)
         digest = cfg.digest()
-        files.write_atomic(
-            out / "config.json",
-            json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
-        )
-        if not resume:
-            _remove_stale_cells(out, cfg)
-
         running = {}  # the (strategy, seed) being run, for the error report
         try:
+            groups = []
             for seed in cfg.seeds:
                 running = {"seed": seed}
                 stream = build_stream(cfg, train_set, seed)
                 manifest = stream.manifest_text(digest)  # the one serialisation per seed
-                cells = [
-                    Cell(
-                        cfg, train_set, test_set, stream, strategy, seed,
-                        cell_dir(out, strategy, seed), manifest, resume=resume,
-                    )
-                    for strategy in cfg.strategies
-                ]
+                cells = []
+                for strategy in cfg.strategies:
+                    running["strategy"] = strategy
+                    paths = cell_dir(out, strategy, seed)
+                    cells.append(Cell(
+                        cfg, train_set, test_set, stream, strategy, seed, paths, manifest,
+                        resume=resume,
+                    ))
+                groups.append(cells)
+            running = {}
+            # an earlier run's summary describes its own grid, and its failure
+            # report would mark this run's outputs incomplete; a kill leaves
+            # <name>.tmp files
+            for stale in [out / "summary.json", out / "error_report.json", *out.glob("*.tmp")]:
+                stale.unlink(missing_ok=True)
+            files.write_atomic(
+                out / "config.json",
+                json.dumps({**cfg.raw, "config_digest": digest}, indent=1, sort_keys=True) + "\n",
+            )
+            if not resume:
+                _remove_stale_cells(out, cfg)
+            for cells in groups:
                 run_group(cells, running)
             running.clear()
             _write_summary(out, cfg)
@@ -616,10 +625,11 @@ def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
 # -- stream inspection ------------------------------------------------------------
 
 
-def inspect(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> dict:
+def inspect(cfg: ExperimentConfig, out_dir: Path | str) -> dict:
     """Stream statistics without training: class-by-experience presence
     matrix CSV, first occurrences, repetition rates, scenario classification,
-    coverage."""
+    coverage. Writes ``occurrence.csv`` and ``inspect.json`` into ``out_dir``
+    and returns the report."""
     train_set, _ = load_inputs(cfg)
     seed = cfg.seeds[0]
     stream = build_stream(cfg, train_set, seed)
@@ -629,19 +639,13 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> dict:
     presence = np.zeros((c, n), dtype=np.int8)
     for exp in stream:
         presence[sorted(exp.present_classes), exp.index] = 1
-
-    first_occurrence = {}
-    repetition_rate = {}
-    for cls in range(c):
-        hits = np.flatnonzero(presence[cls])
-        if hits.size == 0:
-            first_occurrence[cls] = None
-            repetition_rate[cls] = None
-            continue
-        foi = int(hits[0])
-        first_occurrence[cls] = foi
-        later = n - foi - 1
-        repetition_rate[cls] = float((hits.size - 1) / later) if later else None
+    # every class of a build_stream stream occurs in some experience
+    first = presence.argmax(axis=1).tolist()
+    first_occurrence = dict(enumerate(first))
+    repetition_rate = {
+        cls: (hits - 1) / (n - foi - 1) if foi < n - 1 else None
+        for cls, (foi, hits) in enumerate(zip(first, presence.sum(axis=1).tolist()))
+    }
 
     report = {
         "config_digest": cfg.digest(),
@@ -661,11 +665,10 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> dict:
         report["infrequent_classes"] = sorted(infrequent)
         report["fraction_infrequent"] = len(infrequent) / c
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_matrix_csv(out / "occurrence.csv", presence, cfg.digest())
-        files.write_atomic(out / "inspect.json", json.dumps(report, indent=1) + "\n")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_matrix_csv(out / "occurrence.csv", presence, cfg.digest())
+    files.write_atomic(out / "inspect.json", json.dumps(report, indent=1) + "\n")
     return report
 
 
@@ -776,8 +779,6 @@ def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> Non
     lines = [f"# config_digest={digest}\n", "pair_id,alpha,accuracy,experience_a,experience_b\n"]
     for ck_a, ck_b in zip(trained[:-1], trained[1:]):
         exp = stream.experiences[ck_a.experience_index]
-        if len(exp) == 0:
-            continue
         x = train_set.features[exp.train_instances]
         y = train_set.labels[exp.train_instances]
         curve = ana.interpolate_checkpoints(ck_a, ck_b, spec.interpolation_points, x, y)

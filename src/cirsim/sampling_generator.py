@@ -126,11 +126,6 @@ class OccurrenceMatrix:
     def present_classes(self, experience: int) -> np.ndarray:
         return np.flatnonzero(self.matrix[:, experience])
 
-    def digest(self) -> str:
-        return hashlib.sha256(
-            np.ascontiguousarray(self.matrix, dtype=np.int8).tobytes()
-        ).hexdigest()
-
 
 def build_occurrence_matrix(cfg: SamplingConfig, rng: np.random.Generator) -> OccurrenceMatrix:
     """Sample first occurrences, then per-class Bernoulli repetition.

@@ -288,12 +288,9 @@ def _sample_clusters(centers, per_class, spread, rng) -> LabeledDataset:
 
 @dataclass
 class PropertyReport:
-    """Pairwise overlap and coverage statistics for a stream (Table-1 style)."""
+    """Disjointness and coverage statistics for a stream (Table-1 style)."""
 
     n_experiences: int
-    n_pairs: int
-    max_instance_overlap: int
-    max_concept_overlap: int
     instances_pairwise_disjoint: bool
     concepts_pairwise_disjoint: bool
     domain_coverage: bool
@@ -310,28 +307,23 @@ def verify_scenario_properties(stream: Stream, dataset: LabeledDataset) -> Prope
     CI: pairwise-disjoint instances and concepts with full coverage of both.
     DI: pairwise-disjoint instances, every class in every experience.
     Anything else (overlaps allowed, partial coverage allowed) is CIR.
+    Two experiences share an instance (or class) exactly when it occurs in
+    more than one experience, so counting occurrences settles both.
     """
-    n = len(dataset)
-    n_exp = len(stream)
-    incidence = np.zeros((n, n_exp), dtype=np.float32)
-    presence = np.zeros((dataset.num_classes, n_exp), dtype=np.float32)
+    n, c = len(dataset), dataset.num_classes
+    # how many experiences each instance, and each class, occurs in
+    instance_hits = np.zeros(n, dtype=np.int64)
+    class_hits = np.zeros(c, dtype=np.int64)
     for e in stream:
         _check_instances(e.train_instances, n)
-        incidence[np.unique(e.train_instances), e.index] = 1.0
-        presence[sorted(e.present_classes), e.index] = 1.0
+        instance_hits[np.unique(e.train_instances)] += 1
+        class_hits[sorted(e.present_classes)] += 1
 
-    instance_overlap = (incidence.T @ incidence).astype(np.int64)
-    concept_overlap = (presence.T @ presence).astype(np.int64)
-    off = ~np.eye(n_exp, dtype=bool)
-    max_io = int(instance_overlap[off].max()) if n_exp > 1 else 0
-    max_co = int(concept_overlap[off].max()) if n_exp > 1 else 0
-
-    covered_inst = float((incidence.sum(axis=1) > 0).mean()) if n else 1.0
-    covered_cls = float((presence.sum(axis=1) > 0).mean())
-    full_codomain = bool((presence.sum(axis=0) == dataset.num_classes).all())
-
-    inst_disjoint = max_io == 0
-    concept_disjoint = max_co == 0
+    inst_disjoint = bool((instance_hits <= 1).all())
+    concept_disjoint = bool((class_hits <= 1).all())
+    covered_inst = float((instance_hits > 0).mean()) if n else 1.0
+    covered_cls = float((class_hits > 0).mean())
+    full_codomain = all(len(e.present_classes) == c for e in stream)
     domain_cov = covered_inst == 1.0
     codomain_cov = covered_cls == 1.0
 
@@ -343,10 +335,7 @@ def verify_scenario_properties(stream: Stream, dataset: LabeledDataset) -> Prope
         classification = "CIR"
 
     return PropertyReport(
-        n_experiences=n_exp,
-        n_pairs=n_exp * (n_exp - 1),
-        max_instance_overlap=max_io,
-        max_concept_overlap=max_co,
+        n_experiences=len(stream),
         instances_pairwise_disjoint=inst_disjoint,
         concepts_pairwise_disjoint=concept_disjoint,
         domain_coverage=domain_cov,

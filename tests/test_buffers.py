@@ -253,6 +253,43 @@ def test_capacity_invariant_across_policies_random_streams():
                 assert buf.total_stored() == 37
 
 
+# -- duplicate instances ------------------------------------------------------------
+# A sampling stream repeats an instance across experiences, never within one.
+# The buffers store stream items, so one instance may fill several slots.
+
+
+@given(
+    policy=st.sampled_from(POLICIES),
+    max_size=st.integers(1, 30),
+    num_classes=st.integers(1, 5),
+    experiences=st.lists(st.sets(st.integers(0, 19), max_size=20), min_size=1, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_an_instance_is_stored_at_most_as_often_as_it_was_streamed(
+    policy, max_size, num_classes, experiences, seed
+):
+    buf = ReplayBuffer(max_size=max_size, policy=policy)
+    rng = np.random.default_rng(seed)
+    streamed = Counter()
+    for instances in experiences:
+        instances = rng.permutation(sorted(instances)).astype(np.int64)
+        buf.update(instances, instances % num_classes, rng)
+        streamed.update(instances.tolist())
+        stored = Counter(buf.instances.tolist())
+        assert all(n <= streamed[i] for i, n in stored.items())
+        assert np.array_equal(buf.labels, buf.instances % num_classes)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_an_instance_streamed_in_two_experiences_is_stored_twice(policy):
+    buf = ReplayBuffer(max_size=10, policy=policy)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        buf.update(np.array([7]), np.array([0]), rng)
+    assert buf.instances.tolist() == [7, 7]
+
+
 @given(
     policy=st.sampled_from(POLICIES),
     max_size=st.integers(1, 30),

@@ -69,6 +69,58 @@ def test_malformed_value_exits_2_naming_its_key(tmp_path, capsys, override, key)
     assert not list(tmp_path.rglob("metrics.csv"))
 
 
+@pytest.mark.parametrize("override, message", [
+    ("train.batch_size=0", "train: batch_size must be >= 1"),
+    ("train.replay_mix=1.5", "train: replay_mix must lie in [0, 1]"),
+    ("train.epochs_per_experience=-1", "train: epochs_per_experience must be >= 0"),
+    ('generator.first_occurrence.kind="weird"',
+     "generator.first_occurrence: unknown pmf kind 'weird'"),
+    ('generator.first_occurrence={"kind": "zipf", "param": -1}',
+     "generator.first_occurrence: zipf parameter must be >= 0"),
+    ('generator.repetition={"mode": "bimodal", "fraction_infrequent": 0.5, "p_low": 0.9, '
+     '"p_high": 0.1}', "generator.repetition: p_low must be <= p_high"),
+    ('generator.repetition={"mode": "bimodal", "fraction_infrequent": 2, "p_low": 0.1, '
+     '"p_high": 0.9}', "generator.repetition: fraction_infrequent must lie in [0, 1]"),
+    ("nokey", "override must look like key.path=value, got 'nokey'"),
+    ("=1", "override has an empty key path: '=1'"),
+    ("train.lr.x=1", "override path 'train.lr.x' crosses a non-object value"),
+])
+def test_a_refused_setting_exits_2_with_its_message(tmp_path, capsys, override, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(tmp_path / "out", train={"lr": 0.1})))
+    assert cli.main(["run", str(path), "--set", override]) == harness.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+def test_er_takes_its_policy_from_buffer_policy(tmp_path):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(out, strategies=["er"])))
+    assert cli.main(["run", str(path), "--set", "buffer.policy=fa"]) == harness.EXIT_OK
+    assert json.loads((out / "config.json").read_text())["buffer"]["policy"] == "fa"
+    assert (out / "er" / "seed0" / "buffer_trace.csv").exists()
+
+
+def test_analyze_of_a_run_with_no_analysis_enabled_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(out)))
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK
+    assert cli.main(["analyze", str(out)]) == harness.EXIT_OK
+    assert not list(out.rglob("analysis"))
+
+
+def test_inspect_of_a_bimodal_config_prints_its_infrequent_classes(tmp_path, capsys):
+    raw = small_config(tmp_path / "out")
+    raw["generator"]["repetition"] = {
+        "mode": "bimodal", "fraction_infrequent": 0.4, "p_low": 0.1, "p_high": 0.9}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["inspect", str(path)]) == harness.EXIT_OK
+    assert "infrequent classes: 2 (40%)" in capsys.readouterr().out.splitlines()
+
+
 def test_integer_keys_read_an_integral_float_as_an_int():
     raw = small_config("x", seeds=[3.0], checkpoint_every=2.0)
     raw["generator"]["n"] = 4.0

@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirsim import analysis, cli, files, harness, learner
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
+from cirsim.distributions import PMF_KINDS
 from cirsim.metrics import EvalContext, parse_csv
 from cirsim.stream import Stream
 
@@ -258,10 +261,11 @@ def test_resume_refuses_a_changed_csv_dataset(tmp_path, capsys):
     changed = ",".join([label, repr(float(feature) + 0.25), *others])
     train_csv.write_text(header + changed + "".join(rest))
     capsys.readouterr()
+    every_byte = _every_byte(out)
     assert cli.main(["run", str(path), "--resume"]) == harness.EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(manifest) in err and "dataset_ref" in err
-    assert manifest.read_bytes() == before
+    assert _every_byte(out) == every_byte
     # the unchanged dataset resumes to the end
     train_csv.write_text(original)
     assert cli.main(["run", str(path), "--resume"]) == harness.EXIT_OK
@@ -512,7 +516,11 @@ def test_a_run_that_fails_over_a_finished_run_leaves_no_summary(tmp_path, monkey
             "lr": 1e9, "epochs_per_experience": 5, "batch_size": 16, "replay_mix": 0.5}})
         assert harness.run(later) == harness.EXIT_RUNTIME
         assert (out / "error_report.json").exists()
+        assert not (out / "summary.json").exists()
     else:
+        # a config error is refused before the first write: the earlier run,
+        # summary included, stays whole
+        before = _every_byte(out)
         build_stream = harness.build_stream
 
         def refused_at_seed_1(cfg, dataset, seed):
@@ -523,7 +531,7 @@ def test_a_run_that_fails_over_a_finished_run_leaves_no_summary(tmp_path, monkey
         monkeypatch.setattr(harness, "build_stream", refused_at_seed_1)
         with pytest.raises(ConfigError, match="no stream"):
             harness.run(later)
-    assert not (out / "summary.json").exists()
+        assert _every_byte(out) == before
 
 
 def test_resume_of_completed_run_keeps_summary_whole(tmp_path):
@@ -558,6 +566,37 @@ def test_resume_refuses_other_configs_state(tmp_path):
     assert len(manifest.read_bytes()) == 60
 
 
+def test_a_refused_resume_changes_no_byte_of_a_finished_run(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    assert cli.main(["init", "--out", str(path)]) == harness.EXIT_OK
+    raw = json.loads(path.read_text())
+    raw["generator"]["n"], raw["seeds"], raw["checkpoint_every"] = 6, [0], 2
+    raw["analysis"]["block_distance"]["enabled"] = True
+    out = tmp_path / "o"
+    raw["output_dir"] = str(out)
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK
+    before = _every_byte(out)
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--resume", "--set", "train.lr=0.05"]) == harness.EXIT_CONFIG
+    assert "resume state was produced by a different config" in capsys.readouterr().err
+    assert _every_byte(out) == before
+    assert cli.main(["analyze", str(out)]) == harness.EXIT_OK
+
+
+def test_a_fresh_run_refused_at_seed_1_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # seed 0's stream is feasible, seed 1's lists more classes than s
+    out = tmp_path / "out"
+    raw = small_config(out, seeds=[0, 1])
+    raw["generator"].update(s=3, repetition={"mode": "constant", "value": 0.4})
+    trained = []
+    monkeypatch.setattr(learner, "train_group", lambda *args, **kwargs: trained.append(1))
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == harness.EXIT_CONFIG
+    assert "at seed 1:" in capsys.readouterr().err
+    assert not trained
+    assert not list(out.rglob("*"))
+
+
 def test_resume_rejects_other_state_version(tmp_path):
     out = tmp_path / "out"
     raw = small_config(out, checkpoint_every=2, strategies=["er-cb"], seeds=[0])
@@ -569,9 +608,10 @@ def test_resume_rejects_other_state_version(tmp_path):
     path.write_text(json.dumps(state))
     manifest = out / "er-cb" / "seed0" / "stream_manifest.json"
     manifest.write_bytes(manifest.read_bytes()[:60])  # torn, and left so by a refusal
+    before = _every_byte(out)
     with pytest.raises(ConfigError, match=r"state_version 2.*state_version 1"):
         harness.run(cfg, resume=True)
-    assert len(manifest.read_bytes()) == 60
+    assert _every_byte(out) == before
 
 
 def test_resume_skips_torn_newest_state_or_checkpoint(tmp_path):
@@ -653,8 +693,8 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
         for strategy in grid:
             sizes.clear()
             paths = harness.cell_dir(tmp_path / "alone", strategy, seed)
-            last = harness.run_cell(cfg, train_set, test_set, stream, strategy, seed, paths)
-            assert set(sizes) == {1} and last.experience_index == len(stream) - 1
+            harness.run_cell(cfg, train_set, test_set, stream, strategy, seed, paths)
+            assert set(sizes) == {1}
             grouped = _tree_bytes(harness.cell_dir(tmp_path / "grid", strategy, seed).root)
             assert _tree_bytes(paths.root) == grouped
 
@@ -1107,13 +1147,14 @@ def test_summary_and_error_report_record_the_numeric_environment(tmp_path):
     _assert_numeric_env(json.loads((tmp_path / "bad" / "error_report.json").read_text()))
 
 
+def _every_byte(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, by its path relative to ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` but ``summary.json``, which holds a time."""
-    return {
-        p.relative_to(root).as_posix(): p.read_bytes()
-        for p in root.rglob("*")
-        if p.is_file() and p.name != "summary.json"
-    }
+    return {rel: data for rel, data in _every_byte(root).items() if Path(rel).name != "summary.json"}
 
 
 def test_a_kill_in_any_whole_file_write_resumes_to_the_uninterrupted_outputs(
@@ -1412,6 +1453,59 @@ def test_a_sampling_experience_listing_more_classes_than_s_exits_2(tmp_path, cap
     # s equal to the class count gives each class one instance
     raw["generator"]["s"] = 5
     assert cli.main([command, str(write_config(tmp_path, raw))]) == harness.EXIT_OK
+
+
+@st.composite
+def _generators(draw, num_classes):
+    """A generator section: slot with N*K >= C, or sampling with any PMF
+    kind, any repetition mode, and s below or above an experience's classes."""
+    n = draw(st.integers(1, 10))
+    p = st.floats(0, 1)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, num_classes))
+        return {"kind": "slot", "n": max(n, -(-num_classes // k)), "k": k}
+    kind = draw(st.sampled_from(PMF_KINDS))
+    first = {"kind": kind}
+    if kind == "zipf":
+        first["param"] = draw(st.floats(0, 3))
+    elif kind == "poisson":
+        first["param"] = draw(st.floats(0, 10))
+    elif kind == "geometric":
+        first["param"] = draw(st.floats(0.05, 1))
+    elif kind == "custom":
+        first["weights"] = draw(st.lists(p, min_size=n, max_size=n).filter(any))
+    mode = draw(st.sampled_from(["constant", "list", "bimodal"]))
+    if mode == "constant":
+        repetition = {"mode": mode, "value": draw(p)}
+    elif mode == "list":
+        repetition = {"mode": mode, "values": draw(st.lists(p, min_size=num_classes,
+                                                            max_size=num_classes))}
+    else:
+        low, high = sorted([draw(p), draw(p)])
+        repetition = {"mode": mode, "fraction_infrequent": draw(p), "p_low": low, "p_high": high}
+    return {"kind": "sampling", "n": n, "s": draw(st.integers(1, 2 * num_classes)),
+            "first_occurrence": first, "repetition": repetition}
+
+
+@given(num_classes=st.integers(2, 6), per_class=st.integers(1, 6),
+       seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_built_stream_has_no_empty_experience_and_holds_every_class(
+    num_classes, per_class, seed, data
+):
+    # inspect and analyze rely on this: build_stream refuses, or every
+    # experience holds an instance and every class occurs somewhere
+    dataset = {"kind": "synthetic", "num_classes": num_classes, "per_class": per_class,
+               "dim": 4, "spread": 0.5, "test_fraction": 0.2, "seed": 0}
+    raw = small_config(None, dataset=dataset, generator=data.draw(_generators(num_classes)))
+    cfg = ExperimentConfig.from_dict(raw)
+    try:
+        train_set, _ = harness.load_inputs(cfg)
+        stream = harness.build_stream(cfg, train_set, seed)
+    except ConfigError:
+        return
+    assert all(len(exp) > 0 for exp in stream)
+    assert frozenset().union(*(exp.present_classes for exp in stream)) == set(range(num_classes))
 
 
 class TestInspect:

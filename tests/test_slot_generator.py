@@ -33,7 +33,7 @@ def test_k10_is_di_with_fresh_instances(dataset10):
     stream = generate_slot_stream(dataset10, SlotConfig(5, 10, seed=0))
     report = verify_scenario_properties(stream, dataset10)
     assert report.classification == "DI"
-    assert report.max_instance_overlap == 0
+    assert report.instances_pairwise_disjoint
     for exp in stream:
         assert exp.present_classes == frozenset(range(10))
 
@@ -44,8 +44,8 @@ def test_k4_intermediate_repetition_counts(dataset10):
     assert np.all(_class_occurrences(stream, 10) == 5 * 4 // 10)
     report = verify_scenario_properties(stream, dataset10)
     assert report.classification == "CIR"
-    assert report.max_concept_overlap > 0
-    assert report.max_instance_overlap == 0
+    assert not report.concepts_pairwise_disjoint
+    assert report.instances_pairwise_disjoint
 
 
 @pytest.mark.parametrize("k", [2, 4, 5, 10])

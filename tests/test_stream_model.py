@@ -189,8 +189,7 @@ class TestVerifyScenarioProperties:
         stream = generate_slot_stream(train, SlotConfig(5, 2, seed=0))
         report = verify_scenario_properties(stream, train)
         assert report.classification == "CI"
-        assert report.max_instance_overlap == 0
-        assert report.max_concept_overlap == 0
+        assert report.instances_pairwise_disjoint and report.concepts_pairwise_disjoint
         assert report.domain_coverage and report.codomain_coverage
 
     def test_slot_di_construction(self):
@@ -198,13 +197,12 @@ class TestVerifyScenarioProperties:
         stream = generate_slot_stream(train, SlotConfig(5, 10, seed=0))
         report = verify_scenario_properties(stream, train)
         assert report.classification == "DI"
-        assert report.max_instance_overlap == 0
+        assert report.instances_pairwise_disjoint
         assert report.every_experience_full_codomain
 
     def test_single_experience_whole_dataset(self):
         train, _ = make_synthetic_dataset(3, 6, 3, 0.2, np.random.default_rng(0))
         report = verify_scenario_properties(_single_experience_stream(train), train)
-        assert report.n_pairs == 0
         assert report.domain_coverage and report.codomain_coverage
 
     def test_dangling_index_detected(self):
