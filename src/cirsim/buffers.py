@@ -111,12 +111,12 @@ class ReplayBuffer:
 
     max_size: int
     policy: str
-    observations: dict[int, int] = field(default_factory=dict)
-    rs_seen_count: int = 0
+    observations: dict[int, int] = field(init=False, default_factory=dict)
+    rs_seen_count: int = field(init=False, default=0)
     instances: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
-    _store: dict[int, np.ndarray] = field(default_factory=dict, repr=False)  # cb/fa
-    _cb_class_seen: dict[int, int] = field(default_factory=dict)  # items streamed per class
+    _store: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)  # cb/fa
+    _cb_class_seen: dict[int, int] = field(init=False, default_factory=dict)  # items streamed per class
     _quotas: dict[int, int] | None = field(init=False, repr=False)
 
     def __post_init__(self):

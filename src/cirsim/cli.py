@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import files, harness
+from .buffers import POLICIES
 from .config import ConfigError, default_config, load_config, resolve_output_dir
 
 
@@ -29,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="replace the seed list with a single seed")
         p.add_argument("--out", help="override output_dir")
         p.add_argument("--buffer.policy", dest="buffer_policy",
-                       choices=["rs", "cb", "fa"], help="override buffer.policy")
+                       choices=POLICIES, help="override buffer.policy")
         p.add_argument("--buffer.size", dest="buffer_size", type=int,
                        help="override buffer.size")
         p.add_argument("--generator.k", dest="generator_k", type=int,
@@ -76,7 +77,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "init":
-            files.write_atomic(args.out, json.dumps(default_config(), indent=1) + "\n")
+            try:
+                files.write_atomic(args.out, json.dumps(default_config(), indent=1) + "\n")
+            except OSError as exc:  # no such directory, or a directory in the way
+                raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
             print(f"wrote example config to {args.out}")
             return harness.EXIT_OK
 

@@ -12,13 +12,14 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .buffers import POLICIES
 from .distributions import PmfSpec
 from .learner import ACTIVATIONS, TrainConfig
 from .sampling_generator import BimodalSpec, SamplingConfig, bimodal_class_split, make_bimodal_config
 from .slot_generator import SlotConfig
 
 SCHEMA_VERSION = 1
-STRATEGIES = ("naive", "er", "er-rs", "er-cb", "er-fa")
+STRATEGIES = ("naive", "er", *(f"er-{p}" for p in POLICIES))
 
 
 class ConfigError(ValueError):
@@ -39,12 +40,22 @@ def _require(cond: bool, message: str) -> None:
 def _get(d: dict, key: str, default, kind, where: str = ""):
     """``d[key]`` checked to be of JSON type ``kind``, or ``default`` when
     absent. ``int`` refuses bools and fractions and reads ``2.0`` as ``2``;
-    ``float`` converts ints; ``[kind]`` is a list, returned as a tuple."""
+    ``float`` converts ints; ``[kind]`` is a list, returned as a tuple.
+    The key is taken out of ``d``, the reader's copy of its section, so
+    that ``_read_all`` can refuse what no reader took."""
     name = f"{where}.{key}".lstrip(".")
     if key not in d:
         _require(default is not _REQUIRED, f"missing required config key: {name}")
         return default
-    return _typed(d[key], kind, name)
+    return _typed(d.pop(key), kind, name)
+
+
+def _read_all(d: dict, where: str = "") -> None:
+    """Refuse a key that the reader of section ``d`` left unread: a typo
+    or a key of another generator would change the digest and nothing else."""
+    if d:
+        name = f"{where}.{next(iter(d))}".lstrip(".")
+        raise ConfigError(f"unused config key: {name}")
 
 
 def _typed(value, kind, name: str):
@@ -92,16 +103,18 @@ class DatasetSpec:
         if kind == "csv":
             train_path = _get(d, "train_path", _REQUIRED, str, "dataset")
             test_path = _get(d, "test_path", _REQUIRED, str, "dataset")
+            _read_all(d, "dataset")
             return cls(kind=kind, train_path=train_path, test_path=test_path)
         spec = cls(
             kind=kind,
-            num_classes=_get(d, "num_classes", 10, int, "dataset"),
-            per_class=_get(d, "per_class", 100, int, "dataset"),
-            dim=_get(d, "dim", 16, int, "dataset"),
-            spread=_get(d, "spread", 0.5, float, "dataset"),
-            test_fraction=_get(d, "test_fraction", 0.1, float, "dataset"),
-            seed=_get(d, "seed", 0, int, "dataset"),
+            num_classes=_get(d, "num_classes", cls.num_classes, int, "dataset"),
+            per_class=_get(d, "per_class", cls.per_class, int, "dataset"),
+            dim=_get(d, "dim", cls.dim, int, "dataset"),
+            spread=_get(d, "spread", cls.spread, float, "dataset"),
+            test_fraction=_get(d, "test_fraction", cls.test_fraction, float, "dataset"),
+            seed=_get(d, "seed", cls.seed, int, "dataset"),
         )
+        _read_all(d, "dataset")
         _require(spec.num_classes >= 2, "dataset.num_classes must be >= 2")
         _require(spec.per_class >= 1, "dataset.per_class must be >= 1")
         _require(spec.dim >= 2, "dataset.dim must be >= 2")
@@ -128,6 +141,7 @@ class GeneratorSpec:
         if kind == "slot":
             k = _get(d, "k", _REQUIRED, int, "generator")
             _require(k >= 1, "generator.k must be >= 1")
+            _read_all(d, "generator")
             return cls(kind=kind, n=n, k=k)
         s = _get(d, "s", _REQUIRED, int, "generator")
         _require(s >= 1, "generator.s must be >= 1")
@@ -137,8 +151,10 @@ class GeneratorSpec:
         _require(support_len == n, f"{where}.support_len must equal generator.n")
         pmf = _validated(where, PmfSpec(
             _get(fo, "kind", _REQUIRED, str, where), n,
-            _get(fo, "param", None, _NUMBER, where), _get(fo, "weights", None, [_NUMBER], where),
+            _get(fo, "param", PmfSpec.param, _NUMBER, where),
+            _get(fo, "weights", PmfSpec.weights, [_NUMBER], where),
         ))
+        _read_all(fo, where)
         rep = _get(d, "repetition", _REQUIRED, dict, "generator")
         where = "generator.repetition"
         mode = _get(rep, "mode", _REQUIRED, str, where)
@@ -155,9 +171,11 @@ class GeneratorSpec:
                 fraction_infrequent=_get(rep, "fraction_infrequent", _REQUIRED, float, where),
                 p_low=_get(rep, "p_low", _REQUIRED, float, where),
                 p_high=_get(rep, "p_high", _REQUIRED, float, where),
-                assignment_seed=_get(rep, "assignment_seed", 0, int, where),
+                assignment_seed=_get(rep, "assignment_seed", BimodalSpec.assignment_seed, int, where),
             ))
             _require(repetition.assignment_seed >= 0, f"{where}.assignment_seed must be >= 0")
+        _read_all(rep, where)
+        _read_all(d, "generator")
         return cls(kind=kind, n=n, s=s, first_occurrence=pmf, repetition=repetition)
 
     def slot_config(self, seed: int) -> SlotConfig:
@@ -185,13 +203,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        hidden = _get(d, "hidden", (32,), [int], "model")
+        hidden = _get(d, "hidden", cls.hidden, [int], "model")
         _require(all(h >= 1 for h in hidden), "model.hidden sizes must be >= 1")
-        activation = _get(d, "activation", "relu", str, "model")
+        activation = _get(d, "activation", cls.activation, str, "model")
         _require(
             activation in ACTIVATIONS,
             f"model.activation must be one of {ACTIVATIONS}, got {activation!r}",
         )
+        _read_all(d, "model")
         return cls(hidden=hidden, activation=activation)
 
 
@@ -210,13 +229,19 @@ class AnalysisSpec:
         bd = _get(d, "block_distance", {}, dict, "analysis")
         cka = _get(d, "cka", {}, dict, "analysis")
         spec = cls(
-            interpolation=_get(interp, "enabled", False, bool, "analysis.interpolation"),
-            interpolation_points=_get(interp, "n_points", 10, int, "analysis.interpolation"),
-            block_distance=_get(bd, "enabled", False, bool, "analysis.block_distance"),
-            cka=_get(cka, "enabled", False, bool, "analysis.cka"),
-            cka_probe_size=_get(cka, "probe_size", 512, int, "analysis.cka"),
-            cka_probe_seed=_get(cka, "probe_seed", 0, int, "analysis.cka"),
+            interpolation=_get(interp, "enabled", cls.interpolation, bool, "analysis.interpolation"),
+            interpolation_points=_get(
+                interp, "n_points", cls.interpolation_points, int, "analysis.interpolation"
+            ),
+            block_distance=_get(bd, "enabled", cls.block_distance, bool, "analysis.block_distance"),
+            cka=_get(cka, "enabled", cls.cka, bool, "analysis.cka"),
+            cka_probe_size=_get(cka, "probe_size", cls.cka_probe_size, int, "analysis.cka"),
+            cka_probe_seed=_get(cka, "probe_seed", cls.cka_probe_seed, int, "analysis.cka"),
         )
+        _read_all(interp, "analysis.interpolation")
+        _read_all(bd, "analysis.block_distance")
+        _read_all(cka, "analysis.cka")
+        _read_all(d, "analysis")
         _require(spec.interpolation_points >= 2, "analysis.interpolation.n_points must be >= 2")
         _require(spec.cka_probe_size >= 2, "analysis.cka.probe_size must be >= 2")
         _require(spec.cka_probe_seed >= 0, "analysis.cka.probe_seed must be >= 0")
@@ -241,41 +266,47 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        version = _get(raw, "schema_version", None, int)
+        d = copy.deepcopy(raw)  # the readers' copy, which ``_get`` empties
+        version = _get(d, "schema_version", None, int)
         _require(
             version == SCHEMA_VERSION,
             f"config schema_version must be {SCHEMA_VERSION}, got {version!r}",
         )
-        dataset = DatasetSpec.from_dict(_get(raw, "dataset", _REQUIRED, dict))
-        generator = GeneratorSpec.from_dict(_get(raw, "generator", _REQUIRED, dict))
-        strategies = _get(raw, "strategies", _REQUIRED, [str])
+        dataset = DatasetSpec.from_dict(_get(d, "dataset", _REQUIRED, dict))
+        generator = GeneratorSpec.from_dict(_get(d, "generator", _REQUIRED, dict))
+        strategies = _get(d, "strategies", _REQUIRED, [str])
         _require(len(strategies) >= 1, "strategies must list at least one strategy")
         for s in strategies:
             _require(s in STRATEGIES, f"unknown strategy {s!r}; expected one of {STRATEGIES}")
         _require(len(set(strategies)) == len(strategies), "strategies must be unique")
-        buffer = _get(raw, "buffer", {}, dict)
+        buffer = _get(d, "buffer", {}, dict)
         buffer_size = _get(buffer, "size", 200, int, "buffer")
         buffer_policy = _get(buffer, "policy", "rs", str, "buffer")
-        _require(buffer_policy in ("rs", "cb", "fa"), "buffer.policy must be rs, cb or fa")
+        _require(buffer_policy in POLICIES, f"buffer.policy must be one of {POLICIES}")
+        _read_all(buffer, "buffer")
         needs_buffer = any(s.startswith("er") for s in strategies)
         if needs_buffer:
             _require(buffer_size >= 1, "buffer.size must be >= 1 for replay strategies")
-        train_d = _get(raw, "train", {}, dict)
+        train_d = _get(d, "train", {}, dict)
         train = _validated("train", TrainConfig(
-            lr=_get(train_d, "lr", 0.1, float, "train"),
-            epochs_per_experience=_get(train_d, "epochs_per_experience", 2, int, "train"),
-            batch_size=_get(train_d, "batch_size", 32, int, "train"),
-            replay_mix=_get(train_d, "replay_mix", 0.5, float, "train"),
+            lr=_get(train_d, "lr", TrainConfig.lr, float, "train"),
+            epochs_per_experience=_get(
+                train_d, "epochs_per_experience", TrainConfig.epochs_per_experience, int, "train"
+            ),
+            batch_size=_get(train_d, "batch_size", TrainConfig.batch_size, int, "train"),
+            replay_mix=_get(train_d, "replay_mix", TrainConfig.replay_mix, float, "train"),
         ))
+        _read_all(train_d, "train")
         _require(train.lr > 0, "train.lr must be > 0")
-        model = ModelSpec.from_dict(_get(raw, "model", {}, dict))
-        seeds = _get(raw, "seeds", _REQUIRED, [int])
+        model = ModelSpec.from_dict(_get(d, "model", {}, dict))
+        seeds = _get(d, "seeds", _REQUIRED, [int])
         _require(len(seeds) >= 1, "seeds must list at least one seed")
         _require(len(set(seeds)) == len(seeds), "seeds must be unique")
-        output_dir = _get(raw, "output_dir", _REQUIRED, str)
-        checkpoint_every = _get(raw, "checkpoint_every", 0, int)
+        output_dir = _get(d, "output_dir", _REQUIRED, str)
+        checkpoint_every = _get(d, "checkpoint_every", 0, int)
         _require(checkpoint_every >= 0, "checkpoint_every must be >= 0")
-        analysis = AnalysisSpec.from_dict(_get(raw, "analysis", {}, dict))
+        analysis = AnalysisSpec.from_dict(_get(d, "analysis", {}, dict))
+        _read_all(d)
         return cls(
             dataset=dataset,
             generator=generator,

@@ -43,29 +43,26 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 STATE_VERSION = 1
+_STAMP = "# config_digest="  # a stamped CSV's first line: this, then the digest
 
 
 # -- inputs ------------------------------------------------------------------
-
-
-def build_dataset(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    ds = cfg.dataset
-    if ds.kind == "csv":
-        train = load_dataset_csv(ds.train_path)
-        test = load_dataset_csv(ds.test_path, num_classes=train.num_classes)
-        return train, test
-    rng = np.random.default_rng(ds.seed)
-    return make_synthetic_dataset(
-        ds.num_classes, ds.per_class, ds.dim, ds.spread, rng, ds.test_fraction
-    )
 
 
 def load_inputs(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Build (train, test) and fail fast, as a config error, on infeasible
     generator settings, unreadable dataset files or feature counts that
     differ between them (or are 0)."""
+    ds = cfg.dataset
     try:
-        train_set, test_set = build_dataset(cfg)
+        if ds.kind == "csv":
+            train_set = load_dataset_csv(ds.train_path)
+            test_set = load_dataset_csv(ds.test_path, num_classes=train_set.num_classes)
+        else:
+            train_set, test_set = make_synthetic_dataset(
+                ds.num_classes, ds.per_class, ds.dim, ds.spread,
+                np.random.default_rng(ds.seed), ds.test_fraction,
+            )
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     if train_set.dim == 0 or test_set.dim != train_set.dim:
@@ -204,6 +201,12 @@ def _starts_with(path: Path, stamp: bytes) -> bool:
         return False
 
 
+def _stamped_csv(digest: str, lines) -> str:
+    """The text of a stamped CSV: the digest line, then ``lines`` (its
+    header and rows), each ending in a newline."""
+    return "".join([_STAMP, digest, "\n", *lines])
+
+
 def _truncate_csv(path: Path, max_experience: int) -> None:
     kept = []
     with open(path, encoding="utf-8") as f:
@@ -250,7 +253,7 @@ class Cell:
         self.strategy, self.seed, self.paths, self.manifest = strategy, seed, paths, manifest
         self.digest = cfg.digest()
         self.policy = cfg.resolve_policy(strategy)
-        self.stamp = f"# config_digest={self.digest}\n"  # the first line of each CSV
+        self.stamp = _stamped_csv(self.digest, [])  # the first line of each CSV
         self.csvs = [paths.metrics_csv] + ([paths.buffer_trace_csv] if self.policy else [])
         self.point = self._resume_point() if resume else None
 
@@ -319,14 +322,10 @@ class Cell:
             learner.save_checkpoint(
                 learner.snapshot(self.params, -1, config_digest=digest), paths.checkpoint_file(-1)
             )
-            files.write_atomic(
-                paths.metrics_csv, self.stamp + metrics.csv_header(self.train_set.num_classes)
-            )
+            header = metrics.csv_header(self.train_set.num_classes)
+            files.write_atomic(paths.metrics_csv, _stamped_csv(digest, [header]))
             if self.buffer is not None:
-                files.write_atomic(
-                    paths.buffer_trace_csv,
-                    self.stamp + "experience_index,class_id,stored_count,observation_count,quota\n",
-                )
+                files.write_atomic(paths.buffer_trace_csv, _stamped_csv(digest, [_TRACE_HEADER]))
         files.write_atomic(paths.manifest, self.manifest)
 
     def step(self, exp, ctx: metrics.EvalContext) -> None:
@@ -445,6 +444,9 @@ def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
         )
 
 
+_TRACE_HEADER = "experience_index,class_id,stored_count,observation_count,quota\n"
+
+
 def _trace_rows(buffer: ReplayBuffer, experience_index: int) -> str:
     counts = buffer.counts()
     quotas = buffer.quotas()
@@ -469,7 +471,7 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
     every cell finished, so a run that stops any other way leaves none."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     train_set, test_set = load_inputs(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     with _exclusive(out):
         digest = cfg.digest()
         running = {}  # the (strategy, seed) being run, for the error report
@@ -514,6 +516,15 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
         return EXIT_OK
 
 
+def _make_dir(out: Path) -> None:
+    """Make the output directory ``out`` and its parents; a file in its
+    place or on its path is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory {out} is a file or lies under one") from None
+
+
 @contextlib.contextmanager
 def _exclusive(out: Path):
     """Hold ``out``'s directory lock (``files.lock_dir``) for the block: two
@@ -540,7 +551,7 @@ def _remove_stale_cells(out: Path, cfg: ExperimentConfig) -> None:
     for root in out.glob("*/seed*"):
         if root in grid or not re.fullmatch(r"seed-?\d+", root.name) or root.is_symlink():
             continue
-        if not _starts_with(CellPaths(root).metrics_csv, b"# config_digest="):
+        if not _starts_with(CellPaths(root).metrics_csv, _STAMP.encode()):
             continue
         shutil.rmtree(root)
         with contextlib.suppress(OSError):  # the strategy directory holds more
@@ -631,7 +642,7 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str) -> dict:
     coverage. Writes ``occurrence.csv`` and ``inspect.json`` into ``out_dir``
     and returns the report."""
     train_set, _ = load_inputs(cfg)
-    seed = cfg.seeds[0]
+    digest, seed = cfg.digest(), cfg.seeds[0]
     stream = build_stream(cfg, train_set, seed)
     report_info = verify_scenario_properties(stream, train_set)
 
@@ -648,7 +659,7 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str) -> dict:
     }
 
     report = {
-        "config_digest": cfg.digest(),
+        "config_digest": digest,
         "seed": seed,
         "classification": report_info.classification,
         "n_experiences": n,
@@ -666,17 +677,12 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str) -> dict:
         report["fraction_infrequent"] = len(infrequent) / c
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(out / "occurrence.csv", presence, cfg.digest())
+    _make_dir(out)
+    lines = ["class" + "".join(f",e{i}" for i in range(n)) + "\n"]
+    lines += (f"{cls},{','.join(map(str, row))}\n" for cls, row in enumerate(presence.tolist()))
+    files.write_atomic(out / "occurrence.csv", _stamped_csv(digest, lines))
     files.write_atomic(out / "inspect.json", json.dumps(report, indent=1) + "\n")
     return report
-
-
-def _write_matrix_csv(path: Path, matrix: np.ndarray, digest: str) -> None:
-    header = "class," + ",".join(f"e{i}" for i in range(matrix.shape[1]))
-    lines = [f"# config_digest={digest}", header]
-    lines += [f"{cls}," + ",".join(str(int(v)) for v in row) for cls, row in enumerate(matrix)]
-    files.write_atomic(path, "\n".join(lines) + "\n")
 
 
 # -- post-hoc analysis --------------------------------------------------------------
@@ -776,7 +782,7 @@ def _load_run_checkpoint(path: Path, digest: str) -> learner.Checkpoint:
 
 
 def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> None:
-    lines = [f"# config_digest={digest}\n", "pair_id,alpha,accuracy,experience_a,experience_b\n"]
+    lines = ["pair_id,alpha,accuracy,experience_a,experience_b\n"]
     for ck_a, ck_b in zip(trained[:-1], trained[1:]):
         exp = stream.experiences[ck_a.experience_index]
         x = train_set.features[exp.train_instances]
@@ -788,21 +794,21 @@ def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> Non
                 f"{pair},{alpha:.6f},{acc:.6f},"
                 f"{ck_a.experience_index},{ck_b.experience_index}\n"
             )
-    files.write_atomic(paths.analysis_dir / "interpolation.csv", "".join(lines))
+    files.write_atomic(paths.analysis_dir / "interpolation.csv", _stamped_csv(digest, lines))
 
 
 def _write_block_distance(paths, init, trained, digest) -> None:
-    lines = [f"# config_digest={digest}\n", "experience_index,block,distance\n"]
+    lines = ["experience_index,block,distance\n"]
     for ck in trained:
         report = ana.block_distance(init.params, ck.params)
         for name, dist in zip(report.block_names, report.distances):
             value = "" if dist is None else f"{dist:.6f}"
             lines.append(f"{ck.experience_index},{name},{value}\n")
-    files.write_atomic(paths.analysis_dir / "block_distance.csv", "".join(lines))
+    files.write_atomic(paths.analysis_dir / "block_distance.csv", _stamped_csv(digest, lines))
 
 
 def _write_cka(paths, trained, probe, digest) -> None:
-    lines = [f"# config_digest={digest}\n", "pair_id,layer_x,layer_y,value\n"]
+    lines = ["pair_id,layer_x,layer_y,value\n"]
     # each checkpoint is prepared once; only the pair at hand is held
     prepared_b = ana.prepare_cka(trained[0].params, probe)
     for ck_a, ck_b in zip(trained[:-1], trained[1:]):
@@ -813,4 +819,4 @@ def _write_cka(paths, trained, probe, digest) -> None:
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[1]):
                 lines.append(f"{pair},layer{i},layer{j},{matrix[i, j]:.6f}\n")
-    files.write_atomic(paths.analysis_dir / "cka.csv", "".join(lines))
+    files.write_atomic(paths.analysis_dir / "cka.csv", _stamped_csv(digest, lines))

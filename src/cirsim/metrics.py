@@ -127,26 +127,14 @@ def csv_header(num_classes: int) -> str:
     return fixed + "".join(f",acc_c{c}" for c in range(num_classes)) + "\n"
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return ""
-    return f"{value:.6f}"
-
-
 def to_csv_row(record: RunRecord) -> str:
-    cells = [
-        str(record.experience_index),
-        record.strategy,
-        str(record.seed),
-        _fmt(record.ta),
-        _fmt(record.sca),
-        _fmt(record.mca),
-        _fmt(record.infrequent_acc),
-        _fmt(record.frequent_acc),
+    values = [
+        record.ta, record.sca, record.mca, record.infrequent_acc, record.frequent_acc,
+        *record.per_class_acc.tolist(),
     ]
-    # plain floats, nan (v != v) left empty: what _fmt does, without its checks
-    cells.extend("" if v != v else f"{v:.6f}" for v in record.per_class_acc.tolist())
-    return ",".join(cells) + "\n"
+    # an absent value (None, or nan: v != v) is an empty field
+    cells = ("" if v is None or v != v else f"{v:.6f}" for v in values)
+    return f"{record.experience_index},{record.strategy},{record.seed}," + ",".join(cells) + "\n"
 
 
 def parse_csv(path) -> list[dict]:

@@ -201,7 +201,7 @@ def realize_stream(
             else:
                 picks.append(pool.copy())
                 flags.append(f"class {int(c)} pool ({pool.size}) below quota ({quota})")
-        instances = np.concatenate(picks) if picks else np.empty(0, dtype=np.int64)
+        instances = np.concatenate(picks)
         rng.shuffle(instances)
         prov = Provenance(kind="occurrence_column", column=tuple(int(v) for v in occurrence.matrix[:, i]))
         experiences.append(make_experience(i, instances, dataset, prov, flags=tuple(flags)))

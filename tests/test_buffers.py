@@ -390,3 +390,12 @@ def test_invalid_constructions_rejected():
     buf = ReplayBuffer(max_size=10, policy="rs")
     with pytest.raises(ValueError):
         buf.sample(3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("observations", {}), ("rs_seen_count", 0), ("_store", {}), ("_cb_class_seen", {}),
+])
+def test_internal_state_is_not_a_constructor_argument(name, value):
+    # a buffer starts empty; from_state alone restores a filled one
+    with pytest.raises(TypeError):
+        ReplayBuffer(max_size=5, policy="rs", **{name: value})

@@ -93,6 +93,62 @@ def test_a_refused_setting_exits_2_with_its_message(tmp_path, capsys, override, 
     assert not list(tmp_path.rglob("metrics.csv"))
 
 
+# -- a key that no reader takes exits 2 and names it --------------------------
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--set", "train.learning_rate=0.5"], "train.learning_rate"),
+    (["--set", "trian.lr=0.3"], "trian"),
+    (["--set", "generator.repetition.vale=0.9"], "generator.repetition.vale"),
+    (["--set", "analysis.cka.probesize=64"], "analysis.cka.probesize"),
+    (["--generator.k", "3"], "generator.k"),
+    (["--set", "generator.first_occurrence.p=0.5"], "generator.first_occurrence.p"),
+    (["--set", 'generator={"kind": "slot", "n": 4, "k": 3, "s": 20}'], "generator.s"),
+    (["--set", 'dataset.train_path="train.csv"'], "dataset.train_path"),
+    (["--set", 'dataset={"kind": "csv", "train_path": "a.csv", "test_path": "b.csv", "dim": 4}'],
+     "dataset.dim"),
+    (["--set", "buffer.sizes=3"], "buffer.sizes"),
+    (["--set", "model.depth=2"], "model.depth"),
+    (["--set", "analysis.interpolation.points=3"], "analysis.interpolation.points"),
+    (["--set", "analysis.block_distance.on=true"], "analysis.block_distance.on"),
+    (["--set", "analysis.probe_size=64"], "analysis.probe_size"),
+    (["--set", 'config_digest="934be9df"'], "config_digest"),
+])
+@pytest.mark.parametrize("command", ["run", "inspect"])
+def test_an_unused_config_key_exits_2_naming_it(tmp_path, capsys, command, argv, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(tmp_path / "out")))
+    assert cli.main([command, str(path), *argv]) == harness.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unused config key: {key}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_analyze_of_a_run_whose_config_holds_an_unused_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(out, checkpoint_every=1)))
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK
+    saved = json.loads((out / "config.json").read_text())
+    saved["train"] = {"momentum": 0.9}  # as an older cirsim, which ignored the key, wrote it
+    (out / "config.json").write_text(json.dumps(saved))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unused config key: train.momentum\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_a_config_whose_keys_are_all_read_keeps_its_raw_dict_and_digest():
+    # the readers take keys out of their own copy; the caller's dict, ``raw``
+    # and the digest, which config.json records, are what was given
+    raw = default_config("out")
+    given = json.loads(json.dumps(raw))
+    cfg = ExperimentConfig.from_dict(raw)
+    assert raw == given and cfg.raw == given
+    payload = json.dumps({k: v for k, v in given.items() if k != "output_dir"}, sort_keys=True)
+    assert cfg.digest() == hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
 def test_er_takes_its_policy_from_buffer_policy(tmp_path):
     out = tmp_path / "out"
     path = tmp_path / "config.json"

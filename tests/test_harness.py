@@ -915,6 +915,46 @@ def test_analysis_outputs_match_golden_digests(tmp_path):
             assert hashlib.sha256(data).hexdigest() == digest, f"{strategy}/{name}"
 
 
+# sha256 of `inspect`'s outputs for a sampling, a bimodal and a slot stream:
+# the presence matrix CSV and the report, byte for byte
+INSPECT_GOLDEN_DIGESTS = {
+    "sampling": {
+        "occurrence.csv": "d227c564f633dd9ef977b3af83418325b4aae43c8e1155aed9db83635ae81036",
+        "inspect.json": "fa0896cb48e03c581ab8802f7a59e33d738745e017e252f8a0473cfdda80ab41",
+    },
+    "bimodal": {
+        "occurrence.csv": "6ab2e507c1bc8d871618348eafab1e4cb4aaa4f4b3cd1e31f3660b3b202b25b5",
+        "inspect.json": "53bb011720d372de20b14f60aea91a69562074505b2db60c3ab001f61e73e176",
+    },
+    "slot": {
+        "occurrence.csv": "f54c9763f7b05e30895775792154637989660a4b92b6e64f6ce62075628302c1",
+        "inspect.json": "bda47704c533d6c47ac8a63c595970cc728548353e5c12c210ac8f8120732e1d",
+    },
+}
+_INSPECT_DATASET = {"kind": "synthetic", "num_classes": 10, "per_class": 30,
+                    "dim": 6, "spread": 0.5, "seed": 0}
+_INSPECT_CONFIGS = {
+    "sampling": {},
+    "bimodal": {
+        "dataset": _INSPECT_DATASET,
+        "generator": {"kind": "sampling", "n": 10, "s": 40,
+                      "first_occurrence": {"kind": "geometric", "param": 0.3},
+                      "repetition": {"mode": "bimodal", "fraction_infrequent": 0.3,
+                                     "p_low": 0.1, "p_high": 0.9}},
+    },
+    "slot": {"dataset": _INSPECT_DATASET, "generator": {"kind": "slot", "n": 6, "k": 3}},
+}
+
+
+@pytest.mark.parametrize("name", INSPECT_GOLDEN_DIGESTS)
+def test_inspect_outputs_match_golden_digests(tmp_path, name):
+    raw = small_config(tmp_path / "out", **_INSPECT_CONFIGS[name])
+    harness.inspect(ExperimentConfig.from_dict(raw), tmp_path / "ins")
+    for file, digest in INSPECT_GOLDEN_DIGESTS[name].items():
+        data = (tmp_path / "ins" / file).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, f"{name}/{file}"
+
+
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     trained = [
@@ -1692,6 +1732,39 @@ class TestCli:
         assert cli.main(["init", "--out", str(target)]) == 0
         cfg = load_config(target, overrides=[f'output_dir="{tmp_path / "o"}"'])
         assert cfg.strategies
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("nodir/example.json", "No such file or directory"),
+    ("adir", "Is a directory"),
+])
+def test_init_into_a_missing_directory_or_onto_a_directory_exits_2(
+    tmp_path, capsys, target, reason
+):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "adir" / "kept.json").write_text("{}")
+    before = _every_byte(tmp_path)
+    assert cli.main(["init", "--out", str(tmp_path / target)]) == harness.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot write {tmp_path / target}: {reason}\n"
+    assert _every_byte(tmp_path) == before and sorted(os.listdir(tmp_path)) == ["adir"]
+
+
+@pytest.mark.parametrize("command", ["run", "inspect"])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_out_path_that_is_a_file_or_lies_under_one_exits_2(tmp_path, capsys, command, under):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    path = write_config(tmp_path, small_config(tmp_path / "ignored", seeds=[0]))
+    before = _every_byte(tmp_path)
+    assert cli.main([command, str(path), "--out", str(out)]) == harness.EXIT_CONFIG
+    named = out / "inspect" if command == "inspect" else out
+    assert capsys.readouterr().err == (
+        f"config error: output directory {named} is a file or lies under one\n"
+    )
+    assert _every_byte(tmp_path) == before
 
 
 class TestConfig:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cirsim.learner import ModelParams, init_params, predict
-from cirsim.metrics import EvalContext, csv_header, evaluate, last_row, parse_csv, to_csv_row
+from cirsim.metrics import (
+    EvalContext, RunRecord, csv_header, evaluate, last_row, parse_csv, to_csv_row,
+)
 from cirsim.stream import LabeledDataset
 
 
@@ -165,3 +167,13 @@ def test_last_row_is_parse_csvs_last_row(tmp_path):
     rows = parse_csv(path)
     assert len(rows) == 3
     assert last_row(path) == rows[-1]
+
+
+def test_csv_row_leaves_none_and_nan_empty_in_fixed_and_per_class_fields():
+    record = RunRecord(
+        experience_index=3, strategy="er-rs", seed=7,
+        ta=0.5, sca=None, mca=float("nan"),
+        per_class_acc=np.array([1.0, None, np.nan, 1 / 3], dtype=object),
+        infrequent_acc=np.float64("nan"), frequent_acc=0.125,
+    )
+    assert to_csv_row(record) == "3,er-rs,7,0.500000,,,,0.125000,1.000000,,,0.333333\n"

@@ -4,16 +4,18 @@ the package's one write layer, and for names bound twice in one scope."""
 import ast
 import importlib
 import importlib.util
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
-from cirsim import harness
-from cirsim.config import STRATEGIES, ExperimentConfig
+from cirsim import cli, harness
+from cirsim.config import STRATEGIES, ExperimentConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 PACKAGE = ROOT / "src" / "cirsim"
 
 
@@ -68,6 +70,25 @@ def test_traced_analyze_builds_inputs_once_per_checkpoint_pair_run(
         tracer.uninstall()
     assert tracer.count("harness.analyze", "") == 1
     assert tracer.count("harness.load_inputs", "") == input_builds
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+def test_every_benchmark_config_reads_every_key(tmp_path, smoke):
+    # a key no reader takes is a config error, which would fail every
+    # repetition of the workload that holds it
+    workloads = runpy.run_path(str(WORKLOADS))
+    definitions = workloads["load_definitions"]()
+    assert definitions["workloads"]
+    for name, spec in definitions["workloads"].items():
+        raw = workloads["build_config"](spec, definitions["default_seed"], str(tmp_path), smoke)
+        assert ExperimentConfig.from_dict(raw).raw == raw, name
+
+
+def test_the_init_config_reads_every_key(tmp_path):
+    target = tmp_path / "example.json"
+    assert cli.main(["init", "--out", str(target)]) == harness.EXIT_OK
+    cfg = load_config(target)
+    assert cfg.raw == json.loads(target.read_text())
 
 
 def _writes_outside_the_writer(source: str) -> list[str]:
