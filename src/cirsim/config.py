@@ -42,7 +42,7 @@ def _get(d: dict, key: str, default, kind, where: str = ""):
     absent. ``int`` refuses bools and fractions and reads ``2.0`` as ``2``;
     ``float`` converts ints; ``[kind]`` is a list, returned as a tuple.
     The key is taken out of ``d``, the reader's copy of its section, so
-    that ``_read_all`` can refuse what no reader took."""
+    that ``_refuse_unread`` can name what no reader took."""
     name = f"{where}.{key}".lstrip(".")
     if key not in d:
         _require(default is not _REQUIRED, f"missing required config key: {name}")
@@ -50,7 +50,7 @@ def _get(d: dict, key: str, default, kind, where: str = ""):
     return _typed(d.pop(key), kind, name)
 
 
-def _read_all(d: dict, where: str = "") -> None:
+def _refuse_unread(d: dict, where: str = "") -> None:
     """Refuse a key that the reader of section ``d`` left unread: a typo
     or a key of another generator would change the digest and nothing else."""
     if d:
@@ -103,7 +103,7 @@ class DatasetSpec:
         if kind == "csv":
             train_path = _get(d, "train_path", _REQUIRED, str, "dataset")
             test_path = _get(d, "test_path", _REQUIRED, str, "dataset")
-            _read_all(d, "dataset")
+            _refuse_unread(d, "dataset")
             return cls(kind=kind, train_path=train_path, test_path=test_path)
         spec = cls(
             kind=kind,
@@ -114,7 +114,7 @@ class DatasetSpec:
             test_fraction=_get(d, "test_fraction", cls.test_fraction, float, "dataset"),
             seed=_get(d, "seed", cls.seed, int, "dataset"),
         )
-        _read_all(d, "dataset")
+        _refuse_unread(d, "dataset")
         _require(spec.num_classes >= 2, "dataset.num_classes must be >= 2")
         _require(spec.per_class >= 1, "dataset.per_class must be >= 1")
         _require(spec.dim >= 2, "dataset.dim must be >= 2")
@@ -141,7 +141,7 @@ class GeneratorSpec:
         if kind == "slot":
             k = _get(d, "k", _REQUIRED, int, "generator")
             _require(k >= 1, "generator.k must be >= 1")
-            _read_all(d, "generator")
+            _refuse_unread(d, "generator")
             return cls(kind=kind, n=n, k=k)
         s = _get(d, "s", _REQUIRED, int, "generator")
         _require(s >= 1, "generator.s must be >= 1")
@@ -154,7 +154,7 @@ class GeneratorSpec:
             _get(fo, "param", PmfSpec.param, _NUMBER, where),
             _get(fo, "weights", PmfSpec.weights, [_NUMBER], where),
         ))
-        _read_all(fo, where)
+        _refuse_unread(fo, where)
         rep = _get(d, "repetition", _REQUIRED, dict, "generator")
         where = "generator.repetition"
         mode = _get(rep, "mode", _REQUIRED, str, where)
@@ -174,8 +174,8 @@ class GeneratorSpec:
                 assignment_seed=_get(rep, "assignment_seed", BimodalSpec.assignment_seed, int, where),
             ))
             _require(repetition.assignment_seed >= 0, f"{where}.assignment_seed must be >= 0")
-        _read_all(rep, where)
-        _read_all(d, "generator")
+        _refuse_unread(rep, where)
+        _refuse_unread(d, "generator")
         return cls(kind=kind, n=n, s=s, first_occurrence=pmf, repetition=repetition)
 
     def slot_config(self, seed: int) -> SlotConfig:
@@ -210,7 +210,7 @@ class ModelSpec:
             activation in ACTIVATIONS,
             f"model.activation must be one of {ACTIVATIONS}, got {activation!r}",
         )
-        _read_all(d, "model")
+        _refuse_unread(d, "model")
         return cls(hidden=hidden, activation=activation)
 
 
@@ -238,10 +238,10 @@ class AnalysisSpec:
             cka_probe_size=_get(cka, "probe_size", cls.cka_probe_size, int, "analysis.cka"),
             cka_probe_seed=_get(cka, "probe_seed", cls.cka_probe_seed, int, "analysis.cka"),
         )
-        _read_all(interp, "analysis.interpolation")
-        _read_all(bd, "analysis.block_distance")
-        _read_all(cka, "analysis.cka")
-        _read_all(d, "analysis")
+        _refuse_unread(interp, "analysis.interpolation")
+        _refuse_unread(bd, "analysis.block_distance")
+        _refuse_unread(cka, "analysis.cka")
+        _refuse_unread(d, "analysis")
         _require(spec.interpolation_points >= 2, "analysis.interpolation.n_points must be >= 2")
         _require(spec.cka_probe_size >= 2, "analysis.cka.probe_size must be >= 2")
         _require(spec.cka_probe_seed >= 0, "analysis.cka.probe_seed must be >= 0")
@@ -283,7 +283,7 @@ class ExperimentConfig:
         buffer_size = _get(buffer, "size", 200, int, "buffer")
         buffer_policy = _get(buffer, "policy", "rs", str, "buffer")
         _require(buffer_policy in POLICIES, f"buffer.policy must be one of {POLICIES}")
-        _read_all(buffer, "buffer")
+        _refuse_unread(buffer, "buffer")
         needs_buffer = any(s.startswith("er") for s in strategies)
         if needs_buffer:
             _require(buffer_size >= 1, "buffer.size must be >= 1 for replay strategies")
@@ -296,7 +296,7 @@ class ExperimentConfig:
             batch_size=_get(train_d, "batch_size", TrainConfig.batch_size, int, "train"),
             replay_mix=_get(train_d, "replay_mix", TrainConfig.replay_mix, float, "train"),
         ))
-        _read_all(train_d, "train")
+        _refuse_unread(train_d, "train")
         _require(train.lr > 0, "train.lr must be > 0")
         model = ModelSpec.from_dict(_get(d, "model", {}, dict))
         seeds = _get(d, "seeds", _REQUIRED, [int])
@@ -306,7 +306,7 @@ class ExperimentConfig:
         checkpoint_every = _get(d, "checkpoint_every", 0, int)
         _require(checkpoint_every >= 0, "checkpoint_every must be >= 0")
         analysis = AnalysisSpec.from_dict(_get(d, "analysis", {}, dict))
-        _read_all(d)
+        _refuse_unread(d)
         return cls(
             dataset=dataset,
             generator=generator,
