@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 config validation failure, 3 runtime failure.
 """
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -17,6 +20,10 @@ import sys
 from . import files, harness
 from .buffers import POLICIES
 from .config import ConfigError, default_config, load_config, resolve_output_dir
+
+# glibc's mallopt parameters, and the threshold both default to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_DEFAULT_THRESHOLD = 128 << 10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +80,46 @@ def _collect_overrides(args) -> list[str]:
     return overrides
 
 
+@functools.cache
+def _mallopt():
+    """glibc's ``mallopt``, or None where the C library is not glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+@contextlib.contextmanager
+def _freed_memory_kept():
+    """Run the block with glibc's mmap threshold at 32 MiB and its trim
+    threshold at 64 MiB, the values its own dynamic rule tops out at, and
+    restore both to their 128 KiB defaults after. Under the defaults every
+    numpy temporary above 128 KiB is mapped and unmapped afresh, page
+    faults and all, until the dynamic rule has seen such a block freed; a
+    command keeps its freed memory for reuse instead. Without glibc this
+    does nothing."""
+    mallopt = _mallopt()
+    if mallopt is None:
+        yield
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    try:
+        yield
+    finally:
+        mallopt(_M_MMAP_THRESHOLD, _DEFAULT_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _DEFAULT_THRESHOLD)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    with _freed_memory_kept():
+        return _command(args)
+
+
+def _command(args) -> int:
     try:
         if args.command == "init":
             try:

@@ -170,12 +170,18 @@ def cell_dir(out_dir: Path, strategy: str, seed: int) -> CellPaths:
     return CellPaths(out_dir / strategy / f"seed{seed}")
 
 
+def _numbered(directory: Path, pattern: str) -> dict[int, Path]:
+    """index -> path of each file in ``directory`` whose whole name matches
+    ``pattern``, the digits of its group being the index. A missing
+    directory lists none."""
+    names = (re.fullmatch(pattern, p.name) for p in directory.glob("*"))
+    return {int(m[1]): directory / m[0] for m in names if m}
+
+
 def _saved_states(paths: CellPaths) -> dict[int, Path]:
     """index -> path of each ``state/state_<digits>.json``; any other file
-    in ``state/`` is not the cell's, and is neither read nor removed. A
-    missing ``state/`` lists none."""
-    names = (re.fullmatch(r"state_(\d+)\.json", p.name) for p in paths.states.glob("*"))
-    return {int(m[1]): paths.states / m[0] for m in names if m}
+    in ``state/`` is not the cell's, and is neither read nor removed."""
+    return _numbered(paths.states, r"state_(\d+)\.json")
 
 
 def _load_resume_point(paths: CellPaths) -> tuple[int, dict, learner.ModelParams] | None:
@@ -226,14 +232,15 @@ class Cell:
     Constructing a cell with ``resume`` reads and checks its newest good
     resume point and writes nothing, so a refused resume changes no byte. A
     point resumes only if each of the cell's CSVs starts with its digest
-    stamp, so rows never land in a file without its header. ``start()``
-    removes the ``*.tmp`` files a kill left in the cell, then resumes from
-    that point, or writes the headers and initial checkpoint; either way it
-    writes ``manifest``, the text of the stream's manifest. The caller then
-    trains ``params`` on each experience from ``start_index`` on, with
-    ``train_rng`` and ``buffer``, and hands the experience and its
-    evaluation context to ``step(exp, ctx)``: buffer update, evaluation, CSV
-    rows appended by path, and at checkpoint points the checkpoint and state.
+    stamp, so rows never land in a file without its header.
+    ``start(manifest)`` removes the ``*.tmp`` files a kill left in the cell,
+    then resumes from that point, or writes the headers and initial
+    checkpoint; either way it writes ``manifest``, the text of the stream's
+    manifest. The caller then trains ``params`` on each experience from
+    ``start_index`` on, with ``train_rng`` and ``buffer``, and hands the
+    experience and its evaluation context to ``step(exp, ctx)``: buffer
+    update, evaluation, CSV rows appended by path, and at checkpoint points
+    the checkpoint and state.
     A cell holds no open file.
     """
 
@@ -246,11 +253,11 @@ class Cell:
         strategy: str,
         seed: int,
         paths: CellPaths,
-        manifest: str,
+        *,
         resume: bool = False,
     ):
         self.cfg, self.train_set, self.test_set, self.stream = cfg, train_set, test_set, stream
-        self.strategy, self.seed, self.paths, self.manifest = strategy, seed, paths, manifest
+        self.strategy, self.seed, self.paths = strategy, seed, paths
         self.digest = cfg.digest()
         self.policy = cfg.resolve_policy(strategy)
         self.stamp = _stamped_csv(self.digest, [])  # the first line of each CSV
@@ -280,7 +287,7 @@ class Cell:
             return None  # the cell starts fresh
         return point
 
-    def start(self) -> None:
+    def start(self, manifest: str) -> None:
         cfg, paths, seed, digest = self.cfg, self.paths, self.seed, self.digest
         paths.root.mkdir(parents=True, exist_ok=True)
         paths.checkpoints.mkdir(exist_ok=True)
@@ -326,7 +333,7 @@ class Cell:
             files.write_atomic(paths.metrics_csv, _stamped_csv(digest, [header]))
             if self.buffer is not None:
                 files.write_atomic(paths.buffer_trace_csv, _stamped_csv(digest, [_TRACE_HEADER]))
-        files.write_atomic(paths.manifest, self.manifest)
+        files.write_atomic(paths.manifest, manifest)
 
     def step(self, exp, ctx: metrics.EvalContext) -> None:
         """Record experience ``exp``, which the caller has trained ``params``
@@ -371,14 +378,15 @@ def run_group(cells: list[Cell], running: dict) -> None:
     At each experience, the active cells that draw the same replay rows
     train as one stacked model (``learner.train_group``); a cell with no
     such partner trains alone. Every cell then steps with one evaluation
-    context: the cells of a seed see the same stream.
-    ``running`` is kept naming the (strategy, seed) at work, for the error
-    report: a diverged model names its own cell.
+    context: the cells of a seed see the same stream, whose manifest text
+    is built once for them all. ``running`` is kept naming the (strategy,
+    seed) at work, for the error report: a diverged model names its own cell.
     """
     stream, cfg, train_set = cells[0].stream, cells[0].cfg, cells[0].train_set
+    manifest = stream.manifest_text(cells[0].digest)
     for cell in cells:
         running.update(strategy=cell.strategy, seed=cell.seed)
-        cell.start()
+        cell.start(manifest)
     infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
     seen: set[int] = set()  # the classes of every experience so far
     for exp in stream:
@@ -421,11 +429,7 @@ def run_cell(
 ) -> None:
     """Run one (strategy, seed) cell on its own, a group of one (see
     ``Cell`` for the arguments)."""
-    cell = Cell(
-        cfg, train_set, test_set, stream, strategy, seed, paths,
-        stream.manifest_text(cfg.digest()), resume=resume,
-    )
-    run_group([cell], {})
+    run_group([Cell(cfg, train_set, test_set, stream, strategy, seed, paths, resume=resume)], {})
 
 
 def _check_dataset_unchanged(manifest: Path, dataset_ref: str) -> None:
@@ -468,11 +472,13 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
     Every seed's stream and every cell's resume point are read and checked
     before the first removal or write, so a run refused as a config error
     changes no byte. ``summary.json`` is then removed, and written once
-    every cell finished, so a run that stops any other way leaves none."""
+    every cell finished, so a run that stops any other way leaves none.
+    A seed's cells, and with them its stream, are released once it ends."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     train_set, test_set = load_inputs(cfg)
     _make_dir(out)
     with _exclusive(out):
+        _refuse_directories(out / "config.json", out / "summary.json", out / "error_report.json")
         digest = cfg.digest()
         running = {}  # the (strategy, seed) being run, for the error report
         try:
@@ -480,16 +486,15 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
             for seed in cfg.seeds:
                 running = {"seed": seed}
                 stream = build_stream(cfg, train_set, seed)
-                manifest = stream.manifest_text(digest)  # the one serialisation per seed
                 cells = []
                 for strategy in cfg.strategies:
                     running["strategy"] = strategy
                     paths = cell_dir(out, strategy, seed)
-                    cells.append(Cell(
-                        cfg, train_set, test_set, stream, strategy, seed, paths, manifest,
-                        resume=resume,
-                    ))
+                    cells.append(
+                        Cell(cfg, train_set, test_set, stream, strategy, seed, paths, resume=resume)
+                    )
                 groups.append(cells)
+            del stream, cells  # now only groups holds them, so a seed's end frees them
             running = {}
             # an earlier run's summary describes its own grid, and its failure
             # report would mark this run's outputs incomplete; a kill leaves
@@ -502,8 +507,8 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
             )
             if not resume:
                 _remove_stale_cells(out, cfg)
-            for cells in groups:
-                run_group(cells, running)
+            while groups:
+                run_group(groups.pop(0), running)
             running.clear()
             _write_summary(out, cfg)
             if cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka:
@@ -523,6 +528,14 @@ def _make_dir(out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"output directory {out} is a file or lies under one") from None
+
+
+def _refuse_directories(*paths: Path) -> None:
+    """A directory where a command writes or removes one of its files is a
+    config error, met before that command's first write."""
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"{path} is a directory")
 
 
 @contextlib.contextmanager
@@ -677,6 +690,7 @@ def inspect(cfg: ExperimentConfig, out_dir: Path | str) -> dict:
         report["fraction_infrequent"] = len(infrequent) / c
 
     out = Path(out_dir)
+    _refuse_directories(out / "occurrence.csv", out / "inspect.json")
     _make_dir(out)
     lines = ["class" + "".join(f",e{i}" for i in range(n)) + "\n"]
     lines += (f"{cls},{','.join(map(str, row))}\n" for cls, row in enumerate(presence.tolist()))
@@ -694,7 +708,11 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     Uses the analyses enabled in the run's config; ``force_all`` computes all
     three. Interpolation curves are evaluated on the training data of the
     pair's earlier experience, CKA on a fixed probe batch from the test set.
-    A cell that fails (say, on a torn checkpoint) stops the analysis with
+    A cell's checkpoints are the files a run names ``ckpt_init.npz`` and
+    ``ckpt_<digits>.npz``, read once each in index order; at most the
+    initial one and two trained ones are held at a time. A cell that fails
+    (say, on a torn checkpoint, or one whose header names another
+    experience than its file name) stops the analysis with
     ``error_report.json`` naming the cell, and returns ``EXIT_RUNTIME``.
     The run directory stays locked (``_exclusive``) until it returns.
     """
@@ -735,32 +753,64 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
 
     stream_for = functools.cache(lambda seed: build_stream(cfg, inputs()[0], seed))
 
+    def analyze_cell(paths: CellPaths, seed: int) -> None:
+        # one pass over the cell's checkpoints in index order, holding the
+        # initial one, the previous trained one and its CKA preparation; the
+        # CSV texts are written once the pass ends
+        trained = sorted(_numbered(paths.checkpoints, r"ckpt_(\d+)\.npz").items())
+        init_path = paths.checkpoint_file(-1)
+        init = _load_run_checkpoint(init_path, -1, digest) if init_path.exists() else None
+        if not trained and init is None:
+            return
+        pairs = len(trained) >= 2
+        interp, blocks, cka = do_interp and pairs, do_blocks and init is not None, do_cka and pairs
+        if interp:
+            stream, train_set = stream_for(seed), inputs()[0]
+        if cka:
+            probe = inputs()[1]
+        interp_lines = ["pair_id,alpha,accuracy,experience_a,experience_b\n"]
+        block_lines = ["experience_index,block,distance\n"]
+        cka_lines = ["pair_id,layer_x,layer_y,value\n"]
+        prev = prepared_prev = None
+        for index, path in trained:
+            ck = _load_run_checkpoint(path, index, digest)
+            prepared = ana.prepare_cka(ck.params, probe) if cka else None
+            if blocks:
+                report = ana.block_distance(init.params, ck.params)
+                for name, dist in zip(report.block_names, report.distances):
+                    value = "" if dist is None else f"{dist:.6f}"
+                    block_lines.append(f"{index},{name},{value}\n")
+            if prev is not None:
+                a = prev.experience_index
+                pair = f"{a}-{index}"
+                if interp:
+                    exp = stream.experiences[a]
+                    x = train_set.features[exp.train_instances]
+                    y = train_set.labels[exp.train_instances]
+                    curve = ana.interpolate_checkpoints(prev, ck, spec.interpolation_points, x, y)
+                    for alpha, acc in zip(curve.alphas, curve.accuracies):
+                        interp_lines.append(f"{pair},{alpha:.6f},{acc:.6f},{a},{index}\n")
+                if cka:
+                    matrix = ana.cka_prepared_matrix(prepared_prev, prepared)
+                    for (i, j), value in np.ndenumerate(matrix):
+                        cka_lines.append(f"{pair},layer{i},layer{j},{value:.6f}\n")
+            prev, prepared_prev = ck, prepared
+        paths.analysis_dir.mkdir(exist_ok=True)
+        for wanted, name, lines in [
+            (interp, "interpolation.csv", interp_lines),
+            (blocks, "block_distance.csv", block_lines),
+            (cka, "cka.csv", cka_lines),
+        ]:
+            if wanted:
+                files.write_atomic(paths.analysis_dir / name, _stamped_csv(digest, lines))
+
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
             paths = cell_dir(run_dir, strategy, seed)
             if not paths.checkpoints.is_dir():
                 continue
             try:
-                ckpts = sorted(
-                    (
-                        _load_run_checkpoint(p, digest)
-                        for p in paths.checkpoints.glob("ckpt_*.npz")
-                    ),
-                    key=lambda ck: ck.experience_index,
-                )
-                if not ckpts:
-                    continue
-                paths.analysis_dir.mkdir(exist_ok=True)
-                trained = [ck for ck in ckpts if ck.experience_index >= 0]
-                init = next((ck for ck in ckpts if ck.experience_index < 0), None)
-
-                if do_interp and len(trained) >= 2:
-                    stream, train_set = stream_for(seed), inputs()[0]
-                    _write_interpolation(paths, trained, stream, train_set, spec, digest)
-                if do_blocks and init is not None:
-                    _write_block_distance(paths, init, trained, digest)
-                if do_cka and len(trained) >= 2:
-                    _write_cka(paths, trained, inputs()[1], digest)
+                analyze_cell(paths, seed)
             except ConfigError:  # the inputs could not be built: not a cell's failure
                 raise
             except Exception as exc:  # runtime failure of one cell: report it and stop
@@ -769,54 +819,19 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
     return EXIT_OK
 
 
-def _load_run_checkpoint(path: Path, digest: str) -> learner.Checkpoint:
-    """A checkpoint of the run whose config has ``digest``; one that another
-    config wrote (say, a run before it in the same directory) is refused."""
+def _load_run_checkpoint(path: Path, index: int, digest: str) -> learner.Checkpoint:
+    """The checkpoint of experience ``index`` (-1: the initial one) of the
+    run whose config has ``digest``; one that another config wrote (say, a
+    run before it in the same directory), or whose header names another
+    experience than its file name, is refused."""
     ck = learner.load_checkpoint(path)
     if ck.meta.get("config_digest") != digest:
         raise learner.CheckpointError(
             f"{path} was written by config {ck.meta.get('config_digest')}, "
             f"not by this run's config {digest}"
         )
+    if ck.experience_index != index:
+        raise learner.CheckpointError(
+            f"{path} holds experience {ck.experience_index}, not the {index} of its name"
+        )
     return ck
-
-
-def _write_interpolation(paths, trained, stream, train_set, spec, digest) -> None:
-    lines = ["pair_id,alpha,accuracy,experience_a,experience_b\n"]
-    for ck_a, ck_b in zip(trained[:-1], trained[1:]):
-        exp = stream.experiences[ck_a.experience_index]
-        x = train_set.features[exp.train_instances]
-        y = train_set.labels[exp.train_instances]
-        curve = ana.interpolate_checkpoints(ck_a, ck_b, spec.interpolation_points, x, y)
-        pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
-        for alpha, acc in zip(curve.alphas, curve.accuracies):
-            lines.append(
-                f"{pair},{alpha:.6f},{acc:.6f},"
-                f"{ck_a.experience_index},{ck_b.experience_index}\n"
-            )
-    files.write_atomic(paths.analysis_dir / "interpolation.csv", _stamped_csv(digest, lines))
-
-
-def _write_block_distance(paths, init, trained, digest) -> None:
-    lines = ["experience_index,block,distance\n"]
-    for ck in trained:
-        report = ana.block_distance(init.params, ck.params)
-        for name, dist in zip(report.block_names, report.distances):
-            value = "" if dist is None else f"{dist:.6f}"
-            lines.append(f"{ck.experience_index},{name},{value}\n")
-    files.write_atomic(paths.analysis_dir / "block_distance.csv", _stamped_csv(digest, lines))
-
-
-def _write_cka(paths, trained, probe, digest) -> None:
-    lines = ["pair_id,layer_x,layer_y,value\n"]
-    # each checkpoint is prepared once; only the pair at hand is held
-    prepared_b = ana.prepare_cka(trained[0].params, probe)
-    for ck_a, ck_b in zip(trained[:-1], trained[1:]):
-        prepared_a = prepared_b
-        prepared_b = ana.prepare_cka(ck_b.params, probe)
-        matrix = ana.cka_prepared_matrix(prepared_a, prepared_b)
-        pair = f"{ck_a.experience_index}-{ck_b.experience_index}"
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                lines.append(f"{pair},layer{i},layer{j},{matrix[i, j]:.6f}\n")
-    files.write_atomic(paths.analysis_dir / "cka.csv", _stamped_csv(digest, lines))

@@ -762,8 +762,8 @@ def test_cell_step_puts_its_rows_on_disk(tmp_path):
     stream = harness.build_stream(cfg, train_set, 0)
     paths = harness.cell_dir(tmp_path / "out", "er-rs", 0)
     manifest = stream.manifest_text(cfg.digest())
-    cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths, manifest)
-    cell.start()
+    cell = harness.Cell(cfg, train_set, test_set, stream, "er-rs", 0, paths)
+    cell.start(manifest)
     seen = set()
     for exp in stream.experiences[:3]:
         seen |= exp.present_classes
@@ -956,19 +956,19 @@ def test_inspect_outputs_match_golden_digests(tmp_path, name):
 
 
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
-    rng = np.random.default_rng(3)
-    trained = [
-        learner.snapshot(learner.init_params(6, (8, 5), 4, "relu", rng), index)
-        for index in range(5)
-    ]
-    probe = rng.normal(size=(20, 6))
-    paths = harness.CellPaths(tmp_path)
-    paths.analysis_dir.mkdir()
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=1,
+                       generator={**small_config(None)["generator"], "n": 5},
+                       model={"hidden": [8, 5], "activation": "relu"},
+                       analysis={"cka": {"enabled": True, "probe_size": 20}})
+    cfg = ExperimentConfig.from_dict(raw)
+    assert harness.run(cfg) == harness.EXIT_OK
 
     prepare, prepared_matrix = analysis.prepare_cka, analysis.cka_prepared_matrix
-    prepared_refs, matrices = [], []
+    prepared_refs, matrices, probes = [], [], []
 
     def spy_prepare(params, probe_features):
+        probes.append(probe_features)
         prepared = prepare(params, probe_features)
         prepared_refs.append(weakref.ref(prepared[0][0]))
         return prepared
@@ -981,11 +981,15 @@ def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "prepare_cka", spy_prepare)
     monkeypatch.setattr(analysis, "cka_prepared_matrix", spy_matrix)
-    harness._write_cka(paths, trained, probe, "d")
+    assert harness.analyze(out) == harness.EXIT_OK
     monkeypatch.undo()
 
+    paths = harness.cell_dir(out, "naive", 0)
+    trained = [learner.load_checkpoint(paths.checkpoint_file(i)) for i in range(5)]
     assert len(prepared_refs) == len(trained)  # each checkpoint prepared once
-    expected = ["# config_digest=d", "pair_id,layer_x,layer_y,value"]
+    probe = probes[0]
+    assert probe.shape == (20, 6) and all(p is probe for p in probes)
+    expected = [f"# config_digest={cfg.digest()}", "pair_id,layer_x,layer_y,value"]
     for matrix, ck_a, ck_b in zip(matrices, trained[:-1], trained[1:], strict=True):
         reference = analysis.cka_layer_matrix(ck_a.params, ck_b.params, probe)
         assert matrix.tobytes() == reference.tobytes()
@@ -994,6 +998,111 @@ def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
             for (i, j), value in np.ndenumerate(reference)
         ]
     assert (paths.analysis_dir / "cka.csv").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_analyze_holds_at_most_two_trained_checkpoints_and_the_initial_one(
+    tmp_path, monkeypatch, n
+):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=1,
+                       generator={**small_config(None)["generator"], "n": n})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    # a Checkpoint is unhashable (a dataclass with eq), so no WeakSet: weak
+    # references to every one loaded, and count those still alive
+    load, loaded, held = learner.load_checkpoint, [], []
+
+    def tracking(path):
+        ck = load(path)
+        loaded.append(weakref.ref(ck))
+        alive = [c for c in (ref() for ref in loaded) if c is not None]
+        trained = sum(c.experience_index >= 0 for c in alive)
+        held.append((trained, len(alive) - trained))
+        return ck
+
+    monkeypatch.setattr(learner, "load_checkpoint", tracking)
+    assert harness.analyze(out, force_all=True) == harness.EXIT_OK
+    assert len(held) == n + 1  # each checkpoint read once
+    assert max(trained for trained, _ in held) == 2
+    assert max(initial for _, initial in held) == 1
+
+
+def _stray_checkpoint_names(checkpoints: Path) -> None:
+    """Files a run never writes, under names close to a checkpoint's: none
+    of them is a readable checkpoint."""
+    for name in ["ckpt_final.npz", "ckpt_00003.npz.bak", "ckpt_-1.npz", "old_ckpt_00002.npz",
+                 "ckpt_00002.NPZ"]:
+        (checkpoints / name).write_bytes(b"not an archive")
+
+
+def test_analyze_reads_only_the_checkpoint_names_a_run_writes(tmp_path):
+    raw = small_config(None, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2)
+    for name in ("plain", "stray"):
+        assert harness.run(ExperimentConfig.from_dict(raw), out_dir=tmp_path / name) == 0
+    for checkpoints in (tmp_path / "stray").glob("*/seed0/checkpoints"):
+        _stray_checkpoint_names(checkpoints)
+    for name in ("plain", "stray"):
+        assert cli.main(["analyze", str(tmp_path / name), "--all"]) == harness.EXIT_OK
+    analysed = {rel: data for rel, data in _every_byte(tmp_path / "plain").items()
+                if "/analysis/" in rel}
+    assert len(analysed) == 6
+    stray = _every_byte(tmp_path / "stray")
+    assert {rel: stray[rel] for rel in analysed} == analysed
+
+
+@pytest.mark.parametrize("index, copied", [(3, 1), (5, "init")])
+def test_a_checkpoint_whose_header_names_another_experience_exits_3(
+    tmp_path, capsys, index, copied
+):
+    out = tmp_path / "out"
+    raw = small_config(out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2)
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == harness.EXIT_OK
+    paths = harness.cell_dir(out, "er-rs", 0)
+    source = paths.checkpoint_file(-1 if copied == "init" else copied)
+    shutil.copy(source, paths.checkpoint_file(index))
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"analysis failed: see {out / 'error_report.json'}\n"
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["command"], report["strategy"], report["seed"]) == ("analyze", "er-rs", 0)
+    held = -1 if copied == "init" else copied
+    assert report["error"] == repr(learner.CheckpointError(
+        f"{paths.checkpoint_file(index)} holds experience {held}, not the {index} of its name"
+    ))
+    assert not paths.analysis_dir.exists()
+
+
+def test_a_command_keeps_freed_memory_and_restores_the_defaults_after(tmp_path):
+    # a fresh process, so no earlier command or test moved the thresholds
+    if cli._mallopt() is None:
+        pytest.skip("the C library has no glibc mallopt")
+    child = "\n".join([
+        "import resource",
+        "import numpy as np",
+        "from cirsim import cli, harness",
+        "def faults():",
+        "    def cycle():",
+        "        a = np.ones(1 << 17)  # 1 MiB, every page written",
+        "        del a",
+        "    cycle()",
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "    for _ in range(200):",
+        "        cycle()",
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before",
+        "during = []",
+        "harness.analyze = lambda run_dir, force_all: during.append(faults()) or 0",
+        "assert cli.main(['analyze', 'unread']) == 0",
+        "print(during[0], faults())",
+    ])
+    source = str(Path(harness.__file__).parents[1])  # the cirsim imported here
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    during, after = map(int, done.stdout.splitlines()[-1].split())
+    assert during < 100
+    assert after > 200 * 128  # at least half of each array's 256 pages, every cycle
 
 
 def _tear(path):
@@ -1077,7 +1186,7 @@ def test_analysis_failing_mid_file_leaves_no_partial_csv(tmp_path, monkeypatch, 
     assert (report["strategy"], report["seed"]) == ("naive", 0)
     assert "injected fault" in report["error"]
     adir = out / "naive" / "seed0" / "analysis"
-    assert sorted(p.name for p in adir.iterdir()) == ["block_distance.csv", "interpolation.csv"]
+    assert not adir.exists()  # a cell's CSVs are written once its pass ends
     monkeypatch.setattr(analysis, "_cka", original)
     assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
     lines = (adir / "cka.csv").read_text().splitlines()
@@ -1764,6 +1873,30 @@ def test_an_out_path_that_is_a_file_or_lies_under_one_exits_2(tmp_path, capsys, 
     assert capsys.readouterr().err == (
         f"config error: output directory {named} is a file or lies under one\n"
     )
+    assert _every_byte(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, rel", [
+    ("inspect", "inspect/occurrence.csv"),
+    ("inspect", "inspect/inspect.json"),
+    ("run", "config.json"),
+    ("run", "summary.json"),
+    ("run", "error_report.json"),
+])
+def test_a_directory_at_an_output_file_path_exits_2(tmp_path, capsys, command, rel):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, small_config(out, seeds=[0]))
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK  # a finished run to keep
+    assert cli.main(["inspect", str(path)]) == harness.EXIT_OK
+    (out / rel).unlink(missing_ok=True)
+    (out / rel).mkdir()
+    (out / rel / "kept.txt").write_text("kept\n")
+    before = _every_byte(tmp_path)
+    capsys.readouterr()
+    assert cli.main([command, str(path)]) == harness.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {out / rel} is a directory\n"
     assert _every_byte(tmp_path) == before
 
 

@@ -164,6 +164,48 @@ def test_whole_files_are_written_only_by_the_atomic_writer():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def _mallopt_uses(source: str) -> list[str]:
+    """Each name, attribute, import or string in ``source`` that can reach
+    the C library's ``mallopt``; a docstring that mentions it is none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value if node.value.isidentifier() else ""
+        else:
+            continue
+        if "mallopt" in name:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("ctypes.CDLL('libc.so.6').mallopt(-3, 1 << 25)", True),
+    ("libc = ctypes.CDLL(None)\nset_option = libc.mallopt", True),
+    ("getattr(libc, 'mallopt')(-1, 0)", True),
+    ("from .cli import _mallopt", True),
+    ("from .cli import _freed_memory_kept as mallopt_scope", True),
+    ("with cli._freed_memory_kept():\n    pass", False),
+    ("def f():\n    '''Sets glibc's thresholds with mallopt.'''", False),
+    ("libc.malloc_trim(0)", False),
+])
+def test_mallopt_scan_flags_each_use(source, flagged):
+    assert bool(_mallopt_uses(source)) == flagged
+
+
+def test_the_allocator_is_tuned_only_by_the_cli():
+    # cli.main sets glibc's thresholds for a command and restores them when
+    # it returns; a setting made anywhere else would outlive its command
+    modules = {p.name: _mallopt_uses(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert modules.pop("cli.py")
+    assert {name: uses for name, uses in modules.items() if uses} == {}
+
+
 # json.load is allowed in the one config file reader; json.loads in the
 # override parser, whose input is a --set value and not a file
 _JSON_PARSERS = {"read_config_file": {"json.load"}, "apply_override": {"json.loads"}}
