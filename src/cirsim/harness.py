@@ -172,10 +172,11 @@ def cell_dir(out_dir: Path, strategy: str, seed: int) -> CellPaths:
 
 def _numbered(directory: Path, pattern: str) -> dict[int, Path]:
     """index -> path of each file in ``directory`` whose whole name matches
-    ``pattern``, the digits of its group being the index. A missing
-    directory lists none."""
-    names = (re.fullmatch(pattern, p.name) for p in directory.glob("*"))
-    return {int(m[1]): directory / m[0] for m in names if m}
+    ``pattern``: the digits its group matched, or -1 where the group took
+    no part in the match. A missing directory lists none."""
+    return {
+        int(m[1] or -1): p for p in directory.glob("*") if (m := re.fullmatch(pattern, p.name))
+    }
 
 
 def _saved_states(paths: CellPaths) -> dict[int, Path]:
@@ -757,11 +758,12 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
         # one pass over the cell's checkpoints in index order, holding the
         # initial one, the previous trained one and its CKA preparation; the
         # CSV texts are written once the pass ends
-        trained = sorted(_numbered(paths.checkpoints, r"ckpt_(\d+)\.npz").items())
-        init_path = paths.checkpoint_file(-1)
-        init = _load_run_checkpoint(init_path, -1, digest) if init_path.exists() else None
-        if not trained and init is None:
+        listed = _numbered(paths.checkpoints, r"ckpt_(?:(\d+)|init)\.npz")
+        if not listed:
             return
+        init_path = listed.pop(-1, None)
+        init = None if init_path is None else _load_run_checkpoint(init_path, -1, digest)
+        trained = sorted(listed.items())
         pairs = len(trained) >= 2
         interp, blocks, cka = do_interp and pairs, do_blocks and init is not None, do_cka and pairs
         if interp:
