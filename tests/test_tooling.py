@@ -1,5 +1,6 @@
 """Guards for the benchmark's tooling that lives outside the package, for
-the package's one write layer, and for names bound twice in one scope."""
+the package's one write layer and its one allocator setting, and for names
+bound twice in one scope."""
 
 import ast
 import importlib
