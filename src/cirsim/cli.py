@@ -10,9 +10,7 @@ Exit codes: 0 success, 2 config validation failure, 3 runtime failure.
 """
 
 import argparse
-import contextlib
 import ctypes
-import functools
 import json
 import os
 import sys
@@ -21,9 +19,8 @@ from . import files, harness
 from .buffers import POLICIES
 from .config import ConfigError, default_config, load_config, resolve_output_dir
 
-# glibc's mallopt parameters, and the threshold both default to
+# glibc's mallopt parameters
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_DEFAULT_THRESHOLD = 128 << 10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,57 +66,34 @@ def _collect_overrides(args) -> list[str]:
         overrides.append(f"seeds=[{args.seed}]")
     if args.out is not None:
         overrides.append(f"output_dir={json.dumps(args.out)}")
-    if getattr(args, "buffer_policy", None):
+    if args.buffer_policy is not None:
         overrides.append(f"buffer.policy={json.dumps(args.buffer_policy)}")
-    if getattr(args, "buffer_size", None) is not None:
+    if args.buffer_size is not None:
         overrides.append(f"buffer.size={args.buffer_size}")
-    if getattr(args, "generator_k", None) is not None:
+    if args.generator_k is not None:
         overrides.append(f"generator.k={args.generator_k}")
-    if getattr(args, "generator_n", None) is not None:
+    if args.generator_n is not None:
         overrides.append(f"generator.n={args.generator_n}")
     return overrides
 
 
-@functools.cache
-def _mallopt():
-    """glibc's ``mallopt``, or None where the C library is not glibc."""
+def _keep_freed_memory() -> None:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB for the rest of the process. Under the 128 KiB defaults every
+    numpy temporary above 128 KiB is mapped and unmapped afresh, page
+    faults and all; with these the process keeps its freed memory for
+    reuse. Without glibc this does nothing."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
-        return None
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return mallopt
-
-
-@contextlib.contextmanager
-def _freed_memory_kept():
-    """Run the block with glibc's mmap threshold at 32 MiB and its trim
-    threshold at 64 MiB, the values its own dynamic rule tops out at, and
-    restore both to their 128 KiB defaults after. Under the defaults every
-    numpy temporary above 128 KiB is mapped and unmapped afresh, page
-    faults and all, until the dynamic rule has seen such a block freed; a
-    command keeps its freed memory for reuse instead. Without glibc this
-    does nothing."""
-    mallopt = _mallopt()
-    if mallopt is None:
-        yield
         return
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    try:
-        yield
-    finally:
-        mallopt(_M_MMAP_THRESHOLD, _DEFAULT_THRESHOLD)
-        mallopt(_M_TRIM_THRESHOLD, _DEFAULT_THRESHOLD)
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
-    with _freed_memory_kept():
-        return _command(args)
-
-
-def _command(args) -> int:
     try:
         if args.command == "init":
             try:

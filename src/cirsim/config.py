@@ -306,6 +306,8 @@ class ExperimentConfig:
         checkpoint_every = _get(d, "checkpoint_every", 0, int)
         _require(checkpoint_every >= 0, "checkpoint_every must be >= 0")
         analysis = AnalysisSpec.from_dict(_get(d, "analysis", {}, dict))
+        # a run's own config.json records its digest; the digest is of the rest
+        _get(d, "config_digest", None, str)
         _refuse_unread(d)
         return cls(
             dataset=dataset,
@@ -319,7 +321,7 @@ class ExperimentConfig:
             output_dir=output_dir,
             checkpoint_every=checkpoint_every,
             analysis=analysis,
-            raw=copy.deepcopy(raw),
+            raw={k: copy.deepcopy(v) for k, v in raw.items() if k != "config_digest"},
         )
 
     def digest(self) -> str:

@@ -730,9 +730,7 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
         report = json.loads(report_path.read_bytes())
         if isinstance(report, dict) and report.get("command") == "analyze":
             report_path.unlink()
-    raw = read_config_file(run_dir / "config.json")
-    raw.pop("config_digest", None)
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(read_config_file(run_dir / "config.json"))
     digest = cfg.digest()
     spec = cfg.analysis
 

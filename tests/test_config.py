@@ -112,7 +112,6 @@ def test_a_refused_setting_exits_2_with_its_message(tmp_path, capsys, override, 
     (["--set", "analysis.interpolation.points=3"], "analysis.interpolation.points"),
     (["--set", "analysis.block_distance.on=true"], "analysis.block_distance.on"),
     (["--set", "analysis.probe_size=64"], "analysis.probe_size"),
-    (["--set", 'config_digest="934be9df"'], "config_digest"),
 ])
 @pytest.mark.parametrize("command", ["run", "inspect"])
 def test_an_unused_config_key_exits_2_naming_it(tmp_path, capsys, command, argv, key):
@@ -121,6 +120,40 @@ def test_an_unused_config_key_exits_2_naming_it(tmp_path, capsys, command, argv,
     assert cli.main([command, str(path), *argv]) == harness.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: unused config key: {key}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def _run_and_record(tmp_path):
+    """Run a small config into ``first``; the run's own config.json path."""
+    first = tmp_path / "first"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(first, checkpoint_every=1)))
+    assert cli.main(["run", str(path)]) == harness.EXIT_OK
+    return first / "config.json"
+
+
+def _cells(root):
+    """Every file under ``root`` but its config.json and summary.json."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.parent != root}
+
+
+def test_a_rerun_from_a_runs_own_config_json_writes_the_same_cells(tmp_path):
+    # config.json adds config_digest, which the reader takes and keeps out
+    # of the digest, so every stamp and so every byte of a cell is the same
+    recorded = _run_and_record(tmp_path)
+    first, second = recorded.parent, tmp_path / "second"
+    assert cli.main(["run", str(recorded), "--out", str(second)]) == harness.EXIT_OK
+    assert _cells(first) and _cells(second) == _cells(first)
+    first_json, second_json = (json.loads((root / "config.json").read_text())
+                               for root in (first, second))
+    assert second_json == {**first_json, "output_dir": str(second)}
+
+
+def test_a_resume_from_a_runs_own_config_json_exits_0(tmp_path):
+    recorded = _run_and_record(tmp_path)
+    before = _cells(recorded.parent)
+    assert cli.main(["run", str(recorded), "--resume"]) == harness.EXIT_OK
+    assert _cells(recorded.parent) == before
 
 
 def test_analyze_of_a_run_whose_config_holds_an_unused_key_exits_2(tmp_path, capsys):

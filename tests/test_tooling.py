@@ -191,7 +191,7 @@ def _mallopt_uses(source: str) -> list[str]:
     ("getattr(libc, 'mallopt')(-1, 0)", True),
     ("from .cli import _mallopt", True),
     ("from .cli import _freed_memory_kept as mallopt_scope", True),
-    ("with cli._freed_memory_kept():\n    pass", False),
+    ("cli._keep_freed_memory()", False),
     ("def f():\n    '''Sets glibc's thresholds with mallopt.'''", False),
     ("libc.malloc_trim(0)", False),
 ])
@@ -200,8 +200,8 @@ def test_mallopt_scan_flags_each_use(source, flagged):
 
 
 def test_the_allocator_is_tuned_only_by_the_cli():
-    # cli.main sets glibc's thresholds for a command and restores them when
-    # it returns; a setting made anywhere else would outlive its command
+    # cli.main sets glibc's thresholds for the rest of its process; a setting
+    # made anywhere else would reach callers of cirsim that never run a command
     modules = {p.name: _mallopt_uses(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     assert modules.pop("cli.py")
     assert {name: uses for name, uses in modules.items() if uses} == {}
