@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .buffers import POLICIES
-from .distributions import PmfSpec
+from .distributions import PARAMETRIC_KINDS, PmfSpec
 from .learner import ACTIVATIONS, TrainConfig
 from .sampling_generator import BimodalSpec, SamplingConfig, bimodal_class_split, make_bimodal_config
 from .slot_generator import SlotConfig
@@ -119,6 +119,7 @@ class DatasetSpec:
         _require(spec.per_class >= 1, "dataset.per_class must be >= 1")
         _require(spec.dim >= 2, "dataset.dim must be >= 2")
         _require(spec.spread > 0, "dataset.spread must be > 0")
+        _require(spec.test_fraction >= 0, "dataset.test_fraction must be >= 0")
         _require(spec.seed >= 0, "dataset.seed must be >= 0")
         return spec
 
@@ -149,11 +150,13 @@ class GeneratorSpec:
         where = "generator.first_occurrence"
         support_len = _get(fo, "support_len", n, int, where)
         _require(support_len == n, f"{where}.support_len must equal generator.n")
-        pmf = _validated(where, PmfSpec(
-            _get(fo, "kind", _REQUIRED, str, where), n,
-            _get(fo, "param", PmfSpec.param, _NUMBER, where),
-            _get(fo, "weights", PmfSpec.weights, [_NUMBER], where),
-        ))
+        pmf_kind = _get(fo, "kind", _REQUIRED, str, where)
+        param, weights = PmfSpec.param, PmfSpec.weights  # a key its kind does not take stays unread
+        if pmf_kind in PARAMETRIC_KINDS:
+            param = _get(fo, "param", param, _NUMBER, where)
+        elif pmf_kind == "custom":
+            weights = _get(fo, "weights", weights, [_NUMBER], where)
+        pmf = _validated(where, PmfSpec(pmf_kind, n, param, weights))
         _refuse_unread(fo, where)
         rep = _get(d, "repetition", _REQUIRED, dict, "generator")
         where = "generator.repetition"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PMF_KINDS = ("zipf", "poisson", "geometric", "uniform", "custom")
+PARAMETRIC_KINDS = ("zipf", "poisson", "geometric")  # the kinds that take ``param``
+PMF_KINDS = (*PARAMETRIC_KINDS, "uniform", "custom")
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class PmfSpec:
             raise ValueError(f"unknown pmf kind {self.kind!r}")
         if self.support_len <= 0:
             raise ValueError("pmf support_len must be >= 1")
-        if self.kind in ("zipf", "poisson", "geometric"):
+        if self.kind in PARAMETRIC_KINDS:
             if self.param is None or not math.isfinite(self.param):
                 raise ValueError(f"{self.kind} pmf needs a finite parameter")
         if self.kind in ("zipf", "poisson") and self.param < 0:

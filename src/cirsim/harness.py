@@ -165,31 +165,34 @@ class CellPaths:
     def state_file(self, index: int) -> Path:
         return self.states / f"state_{index:05d}.json"
 
+    def saved(self, file_for) -> dict[int, Path]:
+        """index -> path of each file in the directory of ``file_for``
+        (``checkpoint_file`` or ``state_file``) that it names, the index
+        being the first digits of the name, or -1 where it has none (the
+        initial checkpoint). One scan; no other file there is the cell's."""
+        listed = {}
+        for path in file_for(0).parent.glob("*"):
+            digits = re.search(r"\d+", path.name)
+            index = int(digits[0]) if digits else -1
+            if file_for(index) == path:
+                listed[index] = path
+        return listed
+
+    def analysis_files(self) -> list[Path]:
+        """The interpolation, block distance and CKA CSVs, in that order."""
+        names = ("interpolation.csv", "block_distance.csv", "cka.csv")
+        return [self.analysis_dir / name for name in names]
+
 
 def cell_dir(out_dir: Path, strategy: str, seed: int) -> CellPaths:
     return CellPaths(out_dir / strategy / f"seed{seed}")
-
-
-def _numbered(directory: Path, pattern: str) -> dict[int, Path]:
-    """index -> path of each file in ``directory`` whose whole name matches
-    ``pattern``: the digits its group matched, or -1 where the group took
-    no part in the match. A missing directory lists none."""
-    return {
-        int(m[1] or -1): p for p in directory.glob("*") if (m := re.fullmatch(pattern, p.name))
-    }
-
-
-def _saved_states(paths: CellPaths) -> dict[int, Path]:
-    """index -> path of each ``state/state_<digits>.json``; any other file
-    in ``state/`` is not the cell's, and is neither read nor removed."""
-    return _numbered(paths.states, r"state_(\d+)\.json")
 
 
 def _load_resume_point(paths: CellPaths) -> tuple[int, dict, learner.ModelParams] | None:
     """(index, state, params) of the newest saved state whose JSON parses
     and whose checkpoint loads; a pair torn by a crash yields to the one
     before it."""
-    for index, path in sorted(_saved_states(paths).items(), reverse=True):
+    for index, path in sorted(paths.saved(paths.state_file).items(), reverse=True):
         try:
             state = json.loads(path.read_text())
             params = learner.load_checkpoint(paths.checkpoint_file(index)).params
@@ -235,14 +238,17 @@ class Cell:
     point resumes only if each of the cell's CSVs starts with its digest
     stamp, so rows never land in a file without its header.
     ``start(manifest)`` removes the ``*.tmp`` files a kill left in the cell,
-    then resumes from that point, or writes the headers and initial
-    checkpoint; either way it writes ``manifest``, the text of the stream's
-    manifest. The caller then trains ``params`` on each experience from
-    ``start_index`` on, with ``train_rng`` and ``buffer``, and hands the
-    experience and its evaluation context to ``step(exp, ctx)``: buffer
-    update, evaluation, CSV rows appended by path, and at checkpoint points
-    the checkpoint and state.
-    A cell holds no open file.
+    then resumes from that point, or removes the checkpoints and states the
+    cell names (``CellPaths.saved``), which would mislead a later analyze or
+    resume, and writes the headers and initial checkpoint. A start with
+    experiences left removes the cell's analysis CSVs, as their checkpoints
+    will change; a file the cell does not name stays. Either way ``start``
+    writes ``manifest``, the text of the stream's manifest. The caller then
+    trains ``params`` on each experience from ``start_index`` on, with
+    ``train_rng`` and ``buffer``, and hands the experience and its
+    evaluation context to ``step(exp, ctx)``: buffer update, evaluation,
+    CSV rows appended by path, and at checkpoint points the checkpoint and
+    state. A cell holds no open file.
     """
 
     def __init__(
@@ -311,15 +317,9 @@ class Cell:
             for csv in self.csvs:
                 _truncate_csv(csv, latest)
         else:
-            # a fresh start owns the cell's directory: an earlier run's
-            # checkpoints, states and analysis would mislead a later analyze,
-            # resume or reader
-            for stale in [
-                *paths.checkpoints.glob("ckpt_*.npz"),
-                *_saved_states(paths).values(),
-                *paths.analysis_dir.glob("*.csv"),
-            ]:
-                stale.unlink()
+            for file_for in (paths.checkpoint_file, paths.state_file):
+                for stale in paths.saved(file_for).values():
+                    stale.unlink()
             self.params = learner.init_params(
                 self.train_set.dim,
                 cfg.model.hidden,
@@ -334,6 +334,9 @@ class Cell:
             files.write_atomic(paths.metrics_csv, _stamped_csv(digest, [header]))
             if self.buffer is not None:
                 files.write_atomic(paths.buffer_trace_csv, _stamped_csv(digest, [_TRACE_HEADER]))
+        if self.start_index < len(self.stream):
+            for stale in paths.analysis_files():
+                stale.unlink(missing_ok=True)
         files.write_atomic(paths.manifest, manifest)
 
     def step(self, exp, ctx: metrics.EvalContext) -> None:
@@ -709,12 +712,12 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     Uses the analyses enabled in the run's config; ``force_all`` computes all
     three. Interpolation curves are evaluated on the training data of the
     pair's earlier experience, CKA on a fixed probe batch from the test set.
-    A cell's checkpoints are the files a run names ``ckpt_init.npz`` and
-    ``ckpt_<digits>.npz``, read once each in index order; at most the
-    initial one and two trained ones are held at a time. A cell that fails
-    (say, on a torn checkpoint, or one whose header names another
-    experience than its file name) stops the analysis with
-    ``error_report.json`` naming the cell, and returns ``EXIT_RUNTIME``.
+    A cell's checkpoints are the files that ``CellPaths.saved`` lists,
+    read once each in index order; at most the initial one and two trained
+    ones are held at a time. A cell that fails (say, on a torn checkpoint,
+    or one whose header names another experience than its file name) stops
+    the analysis with ``error_report.json`` naming the cell, and returns
+    ``EXIT_RUNTIME``.
     The run directory stays locked (``_exclusive``) until it returns.
     """
     run_dir = Path(run_dir)
@@ -756,7 +759,7 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
         # one pass over the cell's checkpoints in index order, holding the
         # initial one, the previous trained one and its CKA preparation; the
         # CSV texts are written once the pass ends
-        listed = _numbered(paths.checkpoints, r"ckpt_(?:(\d+)|init)\.npz")
+        listed = paths.saved(paths.checkpoint_file)
         if not listed:
             return
         init_path = listed.pop(-1, None)
@@ -796,21 +799,15 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
                         cka_lines.append(f"{pair},layer{i},layer{j},{value:.6f}\n")
             prev, prepared_prev = ck, prepared
         paths.analysis_dir.mkdir(exist_ok=True)
-        for wanted, name, lines in [
-            (interp, "interpolation.csv", interp_lines),
-            (blocks, "block_distance.csv", block_lines),
-            (cka, "cka.csv", cka_lines),
-        ]:
+        csv_lines = (interp_lines, block_lines, cka_lines)
+        for path, wanted, lines in zip(paths.analysis_files(), (interp, blocks, cka), csv_lines):
             if wanted:
-                files.write_atomic(paths.analysis_dir / name, _stamped_csv(digest, lines))
+                files.write_atomic(path, _stamped_csv(digest, lines))
 
     for strategy in cfg.strategies:
         for seed in cfg.seeds:
-            paths = cell_dir(run_dir, strategy, seed)
-            if not paths.checkpoints.is_dir():
-                continue
             try:
-                analyze_cell(paths, seed)
+                analyze_cell(cell_dir(run_dir, strategy, seed), seed)
             except ConfigError:  # the inputs could not be built: not a cell's failure
                 raise
             except Exception as exc:  # runtime failure of one cell: report it and stop

@@ -3,6 +3,7 @@ settings parsed once into the objects the generators use."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cirsim import cli, harness
-from cirsim.config import ConfigError, ExperimentConfig, default_config
+from cirsim.config import ConfigError, ExperimentConfig, default_config, resolve_output_dir
 from cirsim.distributions import PmfSpec
 from cirsim.sampling_generator import BimodalSpec
 
@@ -84,6 +85,7 @@ def test_malformed_value_exits_2_naming_its_key(tmp_path, capsys, override, key)
     ("nokey", "override must look like key.path=value, got 'nokey'"),
     ("=1", "override has an empty key path: '=1'"),
     ("train.lr.x=1", "override path 'train.lr.x' crosses a non-object value"),
+    ("dataset.test_fraction=-3", "dataset.test_fraction must be >= 0"),
 ])
 def test_a_refused_setting_exits_2_with_its_message(tmp_path, capsys, override, message):
     path = tmp_path / "config.json"
@@ -112,6 +114,10 @@ def test_a_refused_setting_exits_2_with_its_message(tmp_path, capsys, override, 
     (["--set", "analysis.interpolation.points=3"], "analysis.interpolation.points"),
     (["--set", "analysis.block_distance.on=true"], "analysis.block_distance.on"),
     (["--set", "analysis.probe_size=64"], "analysis.probe_size"),
+    (["--set", "generator.first_occurrence.weights=[1,2,3,4]"],
+     "generator.first_occurrence.weights"),
+    (["--set", 'generator.first_occurrence={"kind": "uniform", "param": 0.7}'],
+     "generator.first_occurrence.param"),
 ])
 @pytest.mark.parametrize("command", ["run", "inspect"])
 def test_an_unused_config_key_exits_2_naming_it(tmp_path, capsys, command, argv, key):
@@ -120,6 +126,43 @@ def test_an_unused_config_key_exits_2_naming_it(tmp_path, capsys, command, argv,
     assert cli.main([command, str(path), *argv]) == harness.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: unused config key: {key}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# -- each per-key flag reaches the run's config.json, and wins over --set ----
+
+
+@pytest.mark.parametrize("flag, key, other, value", [
+    (["--seed", "7"], "seeds", "[3]", [7]),
+    (["--buffer.policy", "fa"], "buffer.policy", '"cb"', "fa"),
+    (["--buffer.size", "5"], "buffer.size", "9", 5),
+    (["--generator.n", "3"], "generator.n", "6", 3),
+    (["--generator.k", "3"], "generator.k", "2", 3),
+])
+@pytest.mark.parametrize("with_set", [False, True], ids=["flag", "flag-and-set"])
+def test_a_per_key_flag_lands_in_the_runs_config_json(tmp_path, flag, key, other, value,
+                                                      with_set):
+    # _collect_overrides appends the flags after every --set value
+    slot = {"kind": "slot", "n": 4, "k": 2}
+    raw = small_config(tmp_path / "out", **({"generator": slot} if key == "generator.k" else {}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    argv = ["run", str(path), *flag, *(["--set", f"{key}={other}"] if with_set else [])]
+    assert cli.main(argv) == harness.EXIT_OK
+    recorded = json.loads((tmp_path / "out" / "config.json").read_text())
+    for part in key.split("."):
+        recorded = recorded[part]
+    assert recorded == value
+
+
+@pytest.mark.parametrize("env, output_dir, expected", [
+    ({"CIRSIM_OUT_ROOT": "/data"}, "runs/a", "/data/runs/a"),
+    ({"CIRSIM_OUT_ROOT": "/data"}, "/abs/a", "/abs/a"),
+    ({}, "runs/a", "runs/a"),
+    ({"CIRSIM_OUT_ROOT": ""}, "runs/a", "runs/a"),
+], ids=["relative", "absolute", "unset", "empty"])
+def test_cirsim_out_root_reroots_only_a_relative_output_dir(env, output_dir, expected):
+    cfg = ExperimentConfig.from_dict(small_config(output_dir))
+    assert resolve_output_dir(cfg, env) == Path(expected)
 
 
 def _run_and_record(tmp_path):

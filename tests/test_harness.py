@@ -1505,6 +1505,58 @@ def test_a_stray_file_in_state_is_neither_read_nor_removed(tmp_path):
     assert stray.read_text() == "{}"
 
 
+def test_a_fresh_rerun_keeps_the_files_its_cell_does_not_name(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(
+        out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2,
+        analysis={"block_distance": {"enabled": True}},
+    ))
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert harness.run(cfg) == harness.EXIT_OK
+    for cell in out.glob("*/seed0"):
+        _stray_checkpoint_names(cell / "checkpoints")
+        (cell / "analysis" / "notes.csv").write_text("my,notes\n")
+    strays = {rel: data for rel, data in _every_byte(out).items()
+              if rel not in _every_byte(tmp_path / "whole")}
+    assert len(strays) == 12
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert _tree_bytes(out) == {**_tree_bytes(tmp_path / "whole"), **strays}
+
+
+@pytest.mark.parametrize("analysis", [{}, {"block_distance": {"enabled": True}}],
+                         ids=["analysis-off", "block-distance-on"])
+def test_a_resume_after_analyze_leaves_no_analysis_from_before_it(tmp_path, analysis):
+    # the analysis of a killed run describes its checkpoints up to the kill;
+    # a resume that adds checkpoints once left it standing, stamped with
+    # the run's own digest
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(small_config(
+        out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=1, analysis=analysis,
+    ))
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    _run_killed_after(cfg, "er-rs", 3)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    assert len(list(out.glob("*/seed0/analysis/*.csv"))) == 6
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
+    expected = ["block_distance.csv"] if analysis else []
+    for cell in out.glob("*/seed0"):
+        assert sorted(p.name for p in (cell / "analysis").glob("*.csv")) == expected
+
+
+def test_a_resume_of_a_finished_run_keeps_its_analysis(tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig.from_dict(
+        small_config(out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=2)
+    )
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    before = _tree_bytes(out)
+    assert len([rel for rel in before if "/analysis/" in rel]) == 6
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert _tree_bytes(out) == before
+
+
 def _rerun_configs(out):
     """A 6-experience naive run checkpointed after every experience and
     interpolated, and another config for the same directory that checkpoints

@@ -1,12 +1,17 @@
 """Guards for the benchmark's tooling that lives outside the package, for
-the package's one write layer and its one allocator setting, and for names
-bound twice in one scope."""
+the package's one write layer and its one allocator setting, for names
+bound twice in one scope, for the grammar of the oldest Python the package
+declares, and for README's library example."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -363,3 +368,44 @@ def test_no_module_or_class_binds_a_def_or_class_name_twice():
         for p in modules
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _refused_by_the_floor(source: str) -> str | None:
+    """Why Python 3.10's grammar, the floor ``pyproject.toml`` declares,
+    refuses ``source``; None where it parses."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+@pytest.mark.parametrize("source, refused", [
+    ("try:\n    pass\nexcept* ValueError:\n    pass", True),
+    ("try:\n    pass\nexcept ValueError:\n    pass", False),
+    ("match x:\n    case 1:\n        pass", False),
+])
+def test_floor_scan_refuses_what_python_3_10_cannot_parse(source, refused):
+    assert bool(_refused_by_the_floor(source)) == refused
+
+
+def test_every_module_parses_under_the_declared_python_floor():
+    # a grammar check, not a run under 3.10: the suite runs on one interpreter
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _refused_by_the_floor(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: why for name, why in found.items() if why} == {}
+
+
+def test_the_readmes_library_example_runs(tmp_path):
+    # the example calls the exported API by name; a rename or a changed
+    # signature would leave it silently wrong
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", example], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 'classification)  # "CIR"' in example and done.stdout.startswith("CIR\n")
