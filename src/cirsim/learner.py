@@ -157,13 +157,43 @@ def predict(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 # Logits this close to a row's top logit may share its softmax probability
-# after rounding; farther ones cannot (see predict_labels).
+# after rounding; farther ones cannot (see _block_labels).
 _TIE_GAP = 1e-12
+# Rows of a 2-D input that predict_labels scores per forward pass.
+_LABEL_BLOCK_ROWS = 256
 
 
 def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Argmax class ids, equal to ``predict(params, features)[0]`` exactly,
-    without building the softmax of every row.
+    """Argmax class ids, equal to ``predict(params, features)[0]``, without
+    building the softmax of every row (see ``_block_labels``).
+
+    A 2-D input of n rows is scored in blocks of ``_LABEL_BLOCK_ROWS`` (R)
+    rows, the last block taking the remainder (R to 2R - 1 rows), so no
+    block is a single row; an input of fewer than 2R rows is one block, as
+    is a 1-D input. The logits alive at once are thus at most 2R - 1 rows of
+    C, plus that block's hidden activations, whatever n is.
+
+    The claim is labels equal, not logits equal: a block's logits may differ
+    from the whole input's in their last bits (BLAS tiles each product by
+    its shape), and a label can move only in a row whose top two logits lie
+    within a few ulps of each other.
+
+    Stacked parameters (see ``_forward``) on a shared 2-D input give (S, n)
+    labels, each model's row equal to its own call; their blocks' (S, b)
+    labels are joined along the last axis.
+    """
+    features = _model_input(params, features)
+    if features.ndim != 2:
+        return _block_labels(params, features)
+    n, rows = len(features), _LABEL_BLOCK_ROWS
+    edges = [*range(0, max(n // rows, 1) * rows, rows), n]
+    blocks = [_block_labels(params, features[a:b]) for a, b in zip(edges, edges[1:])]
+    return np.concatenate(blocks, axis=-1)
+
+
+def _block_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Argmax class ids of one forward pass over all of ``features``, equal
+    to the argmax of ``softmax`` of its logits exactly.
 
     softmax's argmax is the first class of highest rounded probability. In a
     row whose top logit m is finite and whose other logits all lie more than
@@ -177,11 +207,7 @@ def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
     top is masked with -inf) lies within ``_TIE_GAP`` of the top. With a
     finite top that is exactly "more than one logit is >= top - _TIE_GAP":
     argmax stops at the first nan, so a finite top means a row without nan.
-
-    Stacked parameters (see ``_forward``) on a shared 2-D input give (S, n)
-    labels, each model's row equal to its own call.
     """
-    features = _model_input(params, features)
     _, _, logits = _forward(params, features)
     # one row of C logits per (model, sample); a view of _forward's array
     flat = np.ascontiguousarray(logits).reshape(-1, logits.shape[-1])

@@ -8,6 +8,7 @@ nothing is missing and is recorded as absent rather than zero.
 """
 
 import collections
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,12 +130,15 @@ def csv_header(num_classes: int) -> str:
 
 def to_csv_row(record: RunRecord) -> str:
     values = [
-        record.ta, record.sca, record.mca, record.infrequent_acc, record.frequent_acc,
-        *record.per_class_acc.tolist(),
+        math.nan if v is None else v
+        for v in (record.ta, record.sca, record.mca, record.infrequent_acc, record.frequent_acc,
+                  *record.per_class_acc.tolist())
     ]
-    # an absent value (None, or nan: v != v) is an empty field
-    cells = ("" if v is None or v != v else f"{v:.6f}" for v in values)
-    return f"{record.experience_index},{record.strategy},{record.seed}," + ",".join(cells) + "\n"
+    # one %-format for the whole row, each field "<v>,"; an absent value
+    # (None or nan) formats as "nan," and then becomes an empty field
+    # ("nan," is no part of any other field: those are digits, '-', '.', "inf")
+    cells = (("%.6f," * len(values)) % tuple(values)).replace("nan,", ",")
+    return f"{record.experience_index},{record.strategy},{record.seed}," + cells[:-1] + "\n"
 
 
 def parse_csv(path) -> list[dict]:

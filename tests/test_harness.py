@@ -700,6 +700,36 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
             assert _tree_bytes(paths.root) == grouped
 
 
+def test_blocked_evaluation_writes_the_bytes_of_one_block(tmp_path, monkeypatch):
+    # a test set of 960 rows (blocks of 256, 256, 448) and experiences of
+    # 600 training rows (blocks of 256, 344), which interpolation scores as
+    # stacked models: every output byte equals one forward pass per input
+    raw = small_config(
+        tmp_path / "blocked", strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=1,
+        dataset={"kind": "synthetic", "num_classes": 24, "per_class": 100, "dim": 6,
+                 "spread": 0.6, "test_fraction": 0.4, "seed": 0},
+        generator={"kind": "slot", "n": 4, "k": 8},
+        analysis={"interpolation": {"enabled": True, "n_points": 3}},
+    )
+    cfg = ExperimentConfig.from_dict(raw)
+    block_rows, forward = [], learner._forward
+
+    def spy(params, x):
+        block_rows.append(len(x))
+        return forward(params, x)
+
+    monkeypatch.setattr(learner, "_forward", spy)
+    assert harness.run(cfg) == harness.EXIT_OK
+    rows = learner._LABEL_BLOCK_ROWS
+    assert {rows, 960 - 2 * rows, 600 - rows} <= set(block_rows)
+    assert max(block_rows) < 2 * rows
+    monkeypatch.setattr(learner, "_LABEL_BLOCK_ROWS", 10**9)
+    block_rows.clear()
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    assert {960, 600} <= set(block_rows)
+    assert _tree_bytes(tmp_path / "whole") == _tree_bytes(tmp_path / "blocked")
+
+
 _KERNEL_NEEDS = {"Haswell": "AVX2", "Sandybridge": "AVX"}  # the instructions each one runs
 
 
@@ -720,6 +750,7 @@ def test_lockstep_equals_alone_under_other_openblas_kernels(tmp_path, core):
     args = [
         f"{tests / 'test_harness.py'}::test_lockstep_cells_equal_each_cell_run_alone",
         f"{tests / 'test_learner.py'}::test_stacked_step_equals_per_model_steps_bitwise",
+        f"{tests / 'test_harness.py'}::test_blocked_evaluation_writes_the_bytes_of_one_block",
         "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path / 'child'}",
     ]
     child = (
@@ -735,7 +766,7 @@ def test_lockstep_equals_alone_under_other_openblas_kernels(tmp_path, core):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[0] == f"blas_core {core}"
-    assert "2 passed" in done.stdout
+    assert "3 passed" in done.stdout
 
 
 def test_resume_of_a_group_standing_at_different_points(tmp_path, monkeypatch):

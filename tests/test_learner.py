@@ -271,6 +271,72 @@ def _stack(models):
     )
 
 
+_R = learner._LABEL_BLOCK_ROWS
+
+
+@given(
+    activation=st.sampled_from(["relu", "tanh"]),
+    hidden=st.lists(st.integers(1, 48), max_size=2),
+    dims=st.tuples(st.integers(1, 20), st.integers(2, 120)),
+    n_models=st.integers(0, 3),  # 0: one 2-D model, else S stacked models
+    rows=st.sampled_from([1, 2, _R - 1, _R, _R + 1, 2 * _R - 1, 2 * _R, 2 * _R + 1,
+                          3 * _R + 1, 4 * _R - 1, 5 * _R + 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_blocked_predict_labels_equal_one_block(activation, hidden, dims, n_models, rows, seed):
+    # the real forward pass, blocked by the module's rule, gives the labels
+    # of one forward pass over every row; blocks are R rows but the last,
+    # which takes the remainder, and an input under 2R rows is one block
+    rng = np.random.default_rng(seed)
+    d, c = dims
+    models = [init_params(d, tuple(hidden), c, activation, rng) for _ in range(max(n_models, 1))]
+    for m in models:
+        for b in m.biases:
+            b += rng.normal(size=b.shape)
+    params = _stack(models) if n_models else models[0]
+    x = rng.normal(size=(rows, d))
+    block_rows, forward = [], learner._forward
+
+    def spy(p, features):
+        block_rows.append(len(features))
+        return forward(p, features)
+
+    with mock.patch.object(learner, "_forward", spy):
+        blocked = predict_labels(params, x)
+    with mock.patch.object(learner, "_LABEL_BLOCK_ROWS", rows + 1):
+        whole = predict_labels(params, x)
+    assert blocked.shape == whole.shape == ((n_models, rows) if n_models else (rows,))
+    assert np.array_equal(blocked, whole)
+    if rows < 2 * _R:
+        assert block_rows == [rows]
+    else:
+        assert block_rows == [_R] * (rows // _R - 1) + [_R + rows % _R]
+
+
+def test_predict_labels_peak_memory_is_about_one_block_of_logits():
+    # tracemalloc sees numpy's buffers: the peak of a call on 8R rows stays
+    # within two blocks of logits plus the hidden activations and the
+    # labels, far under the whole input's logits
+    import tracemalloc
+
+    c, hidden, d = 400, 16, 16
+    rng = np.random.default_rng(0)
+    params = init_params(d, (hidden,), c, "relu", rng)
+    x = rng.normal(size=(8 * _R, d))
+    predict_labels(params, x)  # first-call set-up is not what is bounded
+    tracemalloc.start()
+    try:
+        predict_labels(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    whole_logits = 8 * _R * c * 8
+    bound = 2 * _R * c * 8 + 2 * 2 * _R * hidden * 8 + 3 * 8 * _R * 8
+    assert peak <= bound, (peak, bound)
+    assert bound < whole_logits / 3
+
+
 @given(
     activation=st.sampled_from(["relu", "tanh"]),
     hidden=st.lists(st.integers(1, 64), max_size=2),

@@ -177,3 +177,33 @@ def test_csv_row_leaves_none_and_nan_empty_in_fixed_and_per_class_fields():
         infrequent_acc=np.float64("nan"), frequent_acc=0.125,
     )
     assert to_csv_row(record) == "3,er-rs,7,0.500000,,,,0.125000,1.000000,,,0.333333\n"
+
+
+def _f_string_row(record: RunRecord) -> str:
+    """to_csv_row's former form: one f-string per present value."""
+    values = [
+        record.ta, record.sca, record.mca, record.infrequent_acc, record.frequent_acc,
+        *record.per_class_acc.tolist(),
+    ]
+    cells = ("" if v is None or v != v else f"{v:.6f}" for v in values)
+    return f"{record.experience_index},{record.strategy},{record.seed}," + ",".join(cells) + "\n"
+
+
+_CSV_VALUES = st.one_of(
+    st.sampled_from([None, float("nan"), -float("nan"), float("inf"), -float("inf"),
+                     -0.0, 0.0, 0, 1, 1.0, 1 / 3, 2 / 3, 0.5, 0.1234565, 1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed=st.lists(_CSV_VALUES, min_size=5, max_size=5),
+       per_class=st.lists(_CSV_VALUES, max_size=40))
+def test_csv_row_equals_one_f_string_per_value(fixed, per_class):
+    record = RunRecord(3, "er-fa", 7, *fixed[:3], np.array(per_class, dtype=object),
+                       infrequent_acc=fixed[3], frequent_acc=fixed[4])
+    assert to_csv_row(record) == _f_string_row(record)
+    floats = np.array([np.nan if v is None else v for v in per_class], dtype=np.float64)
+    record.per_class_acc = floats
+    assert to_csv_row(record) == _f_string_row(record)
