@@ -1,5 +1,6 @@
 import gc
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -318,8 +319,6 @@ def test_predict_labels_peak_memory_is_about_one_block_of_logits():
     # tracemalloc sees numpy's buffers: the peak of a call on 8R rows stays
     # within two blocks of logits plus the hidden activations and the
     # labels, far under the whole input's logits
-    import tracemalloc
-
     c, hidden, d = 400, 16, 16
     rng = np.random.default_rng(0)
     params = init_params(d, (hidden,), c, "relu", rng)
