@@ -1,6 +1,7 @@
-"""The one way anything reaches disk: a whole file lands by rename, and a
-CSV row is appended to a file that already holds its header. A run
-directory is locked while one process writes it."""
+"""The one way anything reaches disk, or a pipe: a whole file lands by
+rename, a CSV row is appended to a file that already holds its header, and
+a run's worker reports its failure down a pipe (``write_all``). A run
+directory is locked while one run writes it."""
 
 import contextlib
 import os
@@ -29,22 +30,29 @@ def append(path, text: str) -> None:
     """Append ``text`` to the existing file ``path`` as UTF-8, with no newline
     translation. A missing file raises ``FileNotFoundError``: appending never
     creates a file, so rows never land in one without its header."""
-    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | getattr(os, "O_BINARY", 0))
     try:
-        while data:
-            data = data[os.write(fd, data):]
+        write_all(fd, text.encode("utf-8"))
     finally:
         os.close(fd)
+
+
+def write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the open descriptor ``fd``, a file or a
+    pipe, going on after each short write."""
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
 
 
 @contextlib.contextmanager
 def lock_dir(path):
     """Hold an exclusive lock on the directory ``path`` for the ``with`` block.
     The lock is ``flock`` on the directory itself, so no file is made. It
-    belongs to this open of the directory: another ``lock_dir`` of it, in
-    this process or another, raises ``BlockingIOError`` while it is held, and
-    the kernel drops it when the process dies. Where ``fcntl`` is missing,
+    belongs to this open of the directory, which processes forked inside
+    the block share: another ``lock_dir`` of it, in this process or another,
+    raises ``BlockingIOError`` while it is held, and the kernel drops it
+    when the last process holding that open dies. Where ``fcntl`` is missing,
     nothing is locked."""
     if fcntl is None:
         yield

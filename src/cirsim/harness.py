@@ -4,8 +4,12 @@ Executes a strategy x seed grid over generated streams, one per run seed
 and shared by every strategy of that seed: per cell it trains the learner
 across all experiences, evaluates after each one, and writes a
 metrics CSV, a buffer trace, the stream manifest and parameter checkpoints.
-A seed's cells step together, experience by experience; those that draw
-the same replay rows train as one stacked model, which changes no output byte.
+The grid's cells are dealt round-robin over one process per allowed CPU
+(``_worker_count``): the ``run`` process and workers forked from it. In
+each, a seed's cells step together, experience by experience; those that
+draw the same replay rows train as one stacked model. Neither the dealing
+nor the stacking changes an output byte, as no byte of a cell depends on
+the other cells.
 Every write goes through ``files``: metric and trace rows are appended as
 they are produced (``files.append``), every other file lands whole
 (``files.write_atomic``). Every output carries the config digest, and runs
@@ -19,8 +23,11 @@ import contextlib
 import ctypes
 import functools
 import json
+import os
+import pickle
 import re
 import shutil
+import signal
 import statistics
 import time
 import traceback
@@ -377,23 +384,27 @@ class Cell:
 
 
 def run_group(cells: list[Cell], running: dict) -> None:
-    """Run one seed's cells experience by experience.
+    """Run cells of one seed, here those of one process's shard of the
+    grid, experience by experience.
 
     At each experience, the active cells that draw the same replay rows
     train as one stacked model (``learner.train_group``); a cell with no
     such partner trains alone. Every cell then steps with one evaluation
-    context: the cells of a seed see the same stream, whose manifest text
-    is built once for them all. ``running`` is kept naming the (strategy,
-    seed) at work, for the error report: a diverged model names its own cell.
+    context: the cells see the same stream, whose manifest text is built
+    once for them all. ``running`` is kept naming the (strategy, seed) at
+    work and, once the cells have started, the experience, for the error
+    report: a diverged model names its own cell.
     """
     stream, cfg, train_set = cells[0].stream, cells[0].cfg, cells[0].train_set
     manifest = stream.manifest_text(cells[0].digest)
+    running.pop("experience", None)
     for cell in cells:
         running.update(strategy=cell.strategy, seed=cell.seed)
         cell.start(manifest)
     infrequent = cfg.generator.infrequent_classes(train_set.num_classes)
     seen: set[int] = set()  # the classes of every experience so far
     for exp in stream:
+        running["experience"] = exp.index
         seen |= exp.present_classes
         active = [c for c in cells if c.start_index <= exp.index]
         if active and len(exp) > 0:
@@ -477,7 +488,11 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
     before the first removal or write, so a run refused as a config error
     changes no byte. ``summary.json`` is then removed, and written once
     every cell finished, so a run that stops any other way leaves none.
-    A seed's cells, and with them its stream, are released once it ends."""
+    The cells are then dealt over ``_worker_count`` processes, this one and
+    forked workers (``_run_shards``), which share its lock; each process
+    releases a seed's cells, and with them its stream, once it has run them.
+    ``summary.json`` and the config's own analysis come only after every
+    process has succeeded."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     train_set, test_set = load_inputs(cfg)
     _make_dir(out)
@@ -498,7 +513,9 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
                         Cell(cfg, train_set, test_set, stream, strategy, seed, paths, resume=resume)
                     )
                 groups.append(cells)
-            del stream, cells  # now only groups holds them, so a seed's end frees them
+            shards = _deal(groups, _worker_count(len(cfg.seeds) * len(cfg.strategies)))
+            workers = len(shards)
+            del stream, cells, groups  # now only shards holds them, so a seed's end frees them
             running = {}
             # an earlier run's summary describes its own grid, and its failure
             # report would mark this run's outputs incomplete; a kill leaves
@@ -511,10 +528,8 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
             )
             if not resume:
                 _remove_stale_cells(out, cfg)
-            while groups:
-                run_group(groups.pop(0), running)
-            running.clear()
-            _write_summary(out, cfg)
+            _run_shards(shards, cfg, running)
+            _write_summary(out, cfg, workers)
             if cfg.analysis.interpolation or cfg.analysis.block_distance or cfg.analysis.cka:
                 return _analyze(out, force_all=False)  # under this run's lock
         except ConfigError:
@@ -523,6 +538,169 @@ def run(cfg: ExperimentConfig, out_dir: Path | str | None = None, resume: bool =
             _write_error_report(out, "run", exc, digest, **running)
             return EXIT_RUNTIME
         return EXIT_OK
+
+
+def _worker_count(n_cells: int) -> int:
+    """The number of processes that run a grid of ``n_cells`` cells: one
+    per CPU this process may run on (its affinity mask), and at most one per
+    cell; 1 where ``os.fork`` or ``os.sched_getaffinity`` is missing
+    (Windows). Tests patch it; nothing else sets it."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(n_cells, len(os.sched_getaffinity(0)))
+
+
+def _deal(groups: list[list[Cell]], workers: int) -> list[list[list[Cell]]]:
+    """Deal the cells of ``groups`` (one list per seed, in grid order)
+    round-robin over ``workers`` shards, each holding its cells as one list
+    per seed."""
+    shards = [[] for _ in range(workers)]
+    for i, cell in enumerate(cell for group in groups for cell in group):
+        shard = shards[i % workers]
+        if not shard or shard[-1][0].seed != cell.seed:
+            shard.append([])
+        shard[-1].append(cell)
+    return shards
+
+
+def _run_shard(shard: list[list[Cell]], running: dict) -> None:
+    """Run a shard's cells seed by seed, releasing each seed's once run."""
+    while shard:
+        run_group(shard.pop(0), running)
+
+
+def _run_shards(shards: list[list[list[Cell]]], cfg: ExperimentConfig, running: dict) -> None:
+    """Run each shard after the first in a worker forked for it
+    (``_fork_worker``) and the first in this process, and return once every
+    worker has exited. A failure ends its own shard only, so the cells of
+    the others finish and a failed one stays resumable. Once all have
+    ended, the failure that one process running the grid would have met
+    first (``_failure_order``) is raised, with ``running`` updated to name
+    its cell. An exception that is no ``Exception`` (an interrupt) in this
+    process's shard, or while it waits, kills the workers first. Every
+    worker is reaped on every path."""
+    workers = {}  # pid -> (worker number, read end of its pipe), until reaped
+    failures = []  # (cell, exception)
+    try:
+        for number in range(1, len(shards)):
+            _fork_worker(number, shards[number], workers)
+            shards[number] = None  # the worker runs these cells; release them here
+        own = {}
+        try:
+            _run_shard(shards[0], own)
+        except Exception as exc:
+            failures.append((own, exc))
+        while workers:
+            failures += _reap(next(iter(workers)), workers)
+    finally:
+        for pid, (_, read) in workers.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    if failures:
+        cell, exc = min(failures, key=lambda failure: _failure_order(cfg, failure[0]))
+        running.update(cell)
+        raise exc
+
+
+def _fork_worker(number: int, shard: list[list[Cell]], workers: dict) -> None:
+    """Fork worker ``number`` to run ``shard``, and record it in ``workers``
+    as pid -> (number, read end of its pipe). The worker leaves only
+    through ``os._exit``, so no caller's ``finally``, ``atexit`` handler or
+    stdio buffer runs twice (what the worker leaves in a stdio buffer is
+    dropped; nothing in a run prints); on a failure it first sends the pickled
+    (cell, exception, traceback text) down the pipe (``_work``). SIGINT is
+    blocked across the fork, so an interrupt lands in this process before
+    the worker is forked or once it is recorded, and in the worker once it
+    is inside its ``try``."""
+    read, write = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(read)
+                status = _work(shard, write)
+            finally:
+                os._exit(status)
+        workers[pid] = (number, read)
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _work(shard: list[list[Cell]], write: int) -> int:
+    """A worker's body: run ``shard``, and on a failure send the pickled
+    (cell, exception, traceback text) to the pipe end ``write``. An
+    exception that does not pickle, or does not load back, is sent as a
+    ``RuntimeError`` holding its repr and traceback. Returns the exit status."""
+    running = {}
+    try:
+        _run_shard(shard, running)
+        return 0
+    except BaseException as exc:
+        text = "".join(traceback.format_exception(exc))
+        try:
+            message = pickle.dumps((running, exc, text))
+            pickle.loads(message)
+        except Exception:
+            message = pickle.dumps((running, RuntimeError(f"{exc!r}\n{text}"), text))
+        files.write_all(write, message)
+        return 1
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, chained as the cause of the exception it
+    sent, so that a report or a propagated exception shows where it arose."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _reap(pid: int, workers: dict) -> list[tuple[dict, BaseException]]:
+    """Read worker ``pid``'s pipe to its end, wait for the worker and drop it
+    from ``workers``; returns its failure as [(cell, exception)], or []. A
+    worker that ended otherwise than with status 0 and sent nothing (say,
+    killed by a signal) fails as a ``RuntimeError`` whose cell names the
+    worker."""
+    number, read = workers[pid]
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del workers[pid]
+    os.close(read)
+    if chunks:
+        cell, exc, text = pickle.loads(b"".join(chunks))
+        exc.__cause__ = _RemoteTraceback(text)
+        return [(cell, exc)]
+    if status == 0:
+        return []
+    how = f"signal {-status}" if status < 0 else f"exit status {status}"
+    return [({"worker": number}, RuntimeError(
+        f"worker {number} (pid {pid}) ended by {how} before it reported"
+    ))]
+
+
+def _failure_order(cfg: ExperimentConfig, cell: dict) -> tuple:
+    """Where one process, running the grid seed by seed with each seed's
+    cells in lockstep, would meet a failure in ``cell``: by seed, then
+    experience (-1 while the cells start), then strategy. A failure that
+    names no cell comes last."""
+    if "strategy" not in cell:
+        return (len(cfg.seeds),)
+    return (
+        cfg.seeds.index(cell["seed"]),
+        cell.get("experience", -1),
+        cfg.strategies.index(cell["strategy"]),
+    )
 
 
 def _make_dir(out: Path) -> None:
@@ -632,13 +810,15 @@ def _agg(values: list[float | None]) -> dict | None:
     }
 
 
-def _write_summary(out: Path, cfg: ExperimentConfig) -> None:
+def _write_summary(out: Path, cfg: ExperimentConfig, workers: int) -> None:
     """Aggregate final metrics per strategy from the last row of each cell's
-    ``metrics.csv``; every cell of the grid has finished."""
+    ``metrics.csv``; every cell of the grid has finished, in ``workers``
+    processes."""
     summary = {
         "config_digest": cfg.digest(),
         "created_unix": time.time(),
         "numeric_env": _numeric_environment(),
+        "workers": workers,
         "seeds": list(cfg.seeds),
         "strategies": {},
     }

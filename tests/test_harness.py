@@ -5,8 +5,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -73,6 +75,13 @@ def _run_killed_after(cfg, strategy, index, out_dir=None) -> None:
         with pytest.raises(_Killed):
             harness.run(cfg, out_dir=out_dir)
     assert not Path(out_dir or cfg.output_dir, "summary.json").exists()
+
+
+def _workers(monkeypatch, n: int) -> None:
+    """Run each grid of this test in at most ``n`` processes (``n`` - 1
+    forked workers), whatever the CPUs of the host; 1 keeps every cell in
+    the test's own process, where its patches observe them."""
+    monkeypatch.setattr(harness, "_worker_count", lambda n_cells: min(n_cells, n))
 
 
 def test_grid_file_count_contract(tmp_path):
@@ -179,6 +188,7 @@ def test_run_serialises_each_seed_manifest_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     strategies = ["naive", "er-rs", "er-fa"]
     cfg = ExperimentConfig.from_dict(small_config(out, strategies=strategies, seeds=[0, 1]))
+    _workers(monkeypatch, 1)  # the count sees the calls of this process alone
     serialised = []
     manifest_text = Stream.manifest_text
 
@@ -198,6 +208,7 @@ def test_run_builds_one_evaluation_context_per_seed_and_experience(tmp_path, mon
     cfg = ExperimentConfig.from_dict(
         small_config(out, strategies=["naive", "er-rs", "er-fa"], seeds=[0, 1])
     )
+    _workers(monkeypatch, 1)  # the count sees the calls of this process alone
     built = []
 
     def counting(*args):
@@ -381,10 +392,11 @@ def test_runtime_failure_writes_error_report(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_runtime_failure_report_names_the_cell(tmp_path):
+def test_runtime_failure_report_names_the_cell(tmp_path, monkeypatch):
     out = tmp_path / "out"
     raw = small_config(out, seeds=[0, 1], train={"lr": 1e9, "epochs_per_experience": 5,
                                                  "batch_size": 16, "replay_mix": 0.5})
+    _workers(monkeypatch, 2)  # naive's cells here, er-rs's in a worker
     assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
     report = json.loads((out / "error_report.json").read_text())
     assert "TrainingDiverged" in report["error"]
@@ -683,6 +695,7 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, monkeypatch):
     grid = ["naive", *REPLAY_TRIO]
     raw = small_config(tmp_path / "grid", strategies=grid, seeds=[0, 1], checkpoint_every=3)
     cfg = ExperimentConfig.from_dict(raw)
+    _workers(monkeypatch, 1)  # the spy sees the groups of this process alone
     sizes = _spy_group_sizes(monkeypatch)
     assert harness.run(cfg) == harness.EXIT_OK
     # per seed: all four stacked at experience 0, where every buffer is
@@ -772,6 +785,8 @@ def test_lockstep_equals_alone_under_other_openblas_kernels(tmp_path, core):
 def test_resume_of_a_group_standing_at_different_points(tmp_path, monkeypatch):
     raw = small_config(tmp_path / "full", checkpoint_every=2, strategies=REPLAY_TRIO, seeds=[0])
     cfg = ExperimentConfig.from_dict(raw)
+    # one process: the kill stops the group in lockstep, and the spy sees it
+    _workers(monkeypatch, 1)
     assert harness.run(cfg, out_dir=tmp_path / "full") == harness.EXIT_OK
     resumed = tmp_path / "resumed"
     _run_killed_after(cfg, "er-fa", 5, out_dir=resumed)
@@ -810,10 +825,12 @@ def test_diverged_group_member_is_named(tmp_path, monkeypatch):
     raw = small_config(out, strategies=["er-rs", "er-cb"], seeds=[0],
                        train={"lr": 1e9, "epochs_per_experience": 5,
                               "batch_size": 16, "replay_mix": 0.5})
+    _workers(monkeypatch, 2)  # each cell in its own process
     assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_RUNTIME
     report = json.loads((out / "error_report.json").read_text())
     assert "TrainingDiverged" in report["error"]
     assert (report["strategy"], report["seed"]) == ("er-rs", 0)
+    _workers(monkeypatch, 1)  # the two cells stack only in one process
 
     def last_member_diverges(models, *args, **kwargs):
         raise learner.TrainingDivergedError("non-finite loss", member=len(models) - 1)
@@ -985,6 +1002,257 @@ def test_inspect_outputs_match_golden_digests(tmp_path, name):
     for file, digest in INSPECT_GOLDEN_DIGESTS[name].items():
         data = (tmp_path / "ins" / file).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, f"{name}/{file}"
+
+
+# -- cells dealt over forked workers ------------------------------------------
+
+
+def _assert_no_child_process() -> None:
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _summary_without_time(run_dir: Path) -> dict:
+    summary = json.loads((run_dir / "summary.json").read_text())
+    summary.pop("created_unix")
+    return summary
+
+
+def test_golden_grids_write_their_pins_and_one_tree_in_any_number_of_processes(
+    tmp_path, monkeypatch
+):
+    # grids of 3, 3 and 2 cells: with 2 or 3 processes, each pinned cell
+    # runs beside cells that another process runs; each golden test checks
+    # its pins, and the trees but their configs (which name the output
+    # directory) are equal
+    trees = []
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        root = tmp_path / f"workers{workers}"
+        for golden in (test_replay_outputs_match_golden_digests,
+                       test_training_loop_outputs_match_golden_digests,
+                       test_analysis_outputs_match_golden_digests):
+            (root / golden.__name__).mkdir(parents=True)
+            golden(root / golden.__name__)
+        _assert_no_child_process()
+        trees.append({rel: data for rel, data in _tree_bytes(root).items()
+                      if Path(rel).name != "config.json"})
+    assert len(trees[0]) > 40 and trees[1] == trees[0] and trees[2] == trees[0]
+
+
+def test_a_grid_writes_the_same_bytes_in_any_number_of_processes(tmp_path, monkeypatch):
+    # 3 seeds x 4 strategies, checkpointed after every experience and
+    # analysed every way: 1, 2 and 3 processes write the same tree
+    raw = small_config(
+        tmp_path, strategies=["naive", *REPLAY_TRIO], seeds=[0, 1, 2], checkpoint_every=1,
+        analysis={"interpolation": {"enabled": True, "n_points": 3},
+                  "block_distance": {"enabled": True},
+                  "cka": {"enabled": True, "probe_size": 16}},
+    )
+    cfg = ExperimentConfig.from_dict(raw)
+    trees, summaries = [], []
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        assert harness.run(cfg, out_dir=out) == harness.EXIT_OK
+        _assert_no_child_process()
+        assert len(list(out.glob("*/seed*/analysis/cka.csv"))) == 12
+        trees.append(_tree_bytes(out))
+        summaries.append(_summary_without_time(out))
+        assert summaries[-1].pop("workers") == workers
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
+
+
+def test_a_one_cell_grid_forks_no_worker(tmp_path, monkeypatch):
+    _workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", None)  # a fork would fail the run
+    cfg = ExperimentConfig.from_dict(small_config(tmp_path / "out", strategies=["naive"], seeds=[0]))
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert _summary_without_time(tmp_path / "out")["workers"] == 1
+
+
+def test_the_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert [harness._worker_count(n) for n in (1, 2, 3, 12)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on Windows and macOS
+    assert harness._worker_count(12) == 1
+
+
+def _failing_step(monkeypatch, failures: dict) -> None:
+    """Patch ``Cell.step`` to raise ``failures[(strategy, seed, index)]``
+    instead of recording that experience."""
+    step = harness.Cell.step
+
+    def failing(cell, exp, ctx):
+        key = (cell.strategy, cell.seed, exp.index)
+        if key in failures:
+            raise failures[key]
+        step(cell, exp, ctx)
+
+    monkeypatch.setattr(harness.Cell, "step", failing)
+
+
+def test_a_failure_in_a_worker_is_reported_as_in_one_process(tmp_path, monkeypatch):
+    # naive's cells run here, er-rs's in the worker, whose seed-1 cell fails;
+    # naive's run on, and the failed cell resumes to the uninterrupted bytes
+    raw = small_config(tmp_path / "out", seeds=[0, 1], checkpoint_every=2)
+    cfg = ExperimentConfig.from_dict(raw)
+    _workers(monkeypatch, 2)
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    step = harness.Cell.step
+    _failing_step(monkeypatch, {("er-rs", 1, 5): ValueError("injected fault")})
+    out = tmp_path / "out"
+    assert harness.run(cfg) == harness.EXIT_RUNTIME
+    _assert_no_child_process()
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"], report["experience"]) == ("er-rs", 1, 5)
+    assert report["error"] == "ValueError('injected fault')"
+    # the worker's own frames, chained as the cause of what this process raised
+    assert "harness._RemoteTraceback: Traceback" in report["traceback"]
+    assert "in failing" in report["traceback"]
+    assert not (out / "summary.json").exists()
+    assert parse_csv(out / "naive" / "seed1" / "metrics.csv")[-1]["experience_index"] == 7
+    assert parse_csv(out / "er-rs" / "seed1" / "metrics.csv")[-1]["experience_index"] == 4
+    monkeypatch.setattr(harness.Cell, "step", step)
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
+
+
+@pytest.mark.parametrize("faults, named", [
+    # (strategy, seed, experience) of each failure -> the one reported
+    ({("er-rs", 1, 2): "worker", ("naive", 1, 3): "here"}, ("er-rs", 1, 2)),
+    ({("er-rs", 1, 5): "worker", ("naive", 1, 3): "here"}, ("naive", 1, 3)),
+    ({("er-rs", 0, 6): "worker", ("naive", 1, 0): "here"}, ("er-rs", 0, 6)),
+    ({("er-rs", 0, 4): "worker", ("naive", 0, 4): "here"}, ("naive", 0, 4)),
+], ids=["earlier-experience", "later-experience", "earlier-seed", "same-experience"])
+def test_the_failure_one_process_would_meet_first_is_reported(tmp_path, monkeypatch,
+                                                              faults, named):
+    _workers(monkeypatch, 2)  # naive's cells here, er-rs's in the worker
+    failures = {key: RuntimeError(f"{where} {key}") for key, where in faults.items()}
+    _failing_step(monkeypatch, failures)
+    out = tmp_path / "out"
+    assert harness.run(ExperimentConfig.from_dict(small_config(out, seeds=[0, 1]))) == 3
+    _assert_no_child_process()
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"], report["experience"]) == named
+    assert report["error"] == repr(failures[named])
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # pickle refuses a lambda
+
+
+class _Unloadable(Exception):
+    def __init__(self, message, code):  # pickle loads it as _Unloadable(message)
+        super().__init__(message)
+        self.code = code
+
+
+@pytest.mark.parametrize("exc", [_Unpicklable("no pickle"), _Unloadable("no load", 7)],
+                         ids=["does-not-pickle", "does-not-load"])
+def test_a_worker_exception_that_does_not_pickle_is_reported_as_text(tmp_path, monkeypatch, exc):
+    _workers(monkeypatch, 2)
+    _failing_step(monkeypatch, {("er-rs", 0, 1): exc})
+    out = tmp_path / "out"
+    assert harness.run(ExperimentConfig.from_dict(small_config(out, seeds=[0]))) == 3
+    _assert_no_child_process()
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"]) == ("er-rs", 0)
+    assert report["error"].startswith("RuntimeError(")
+    # its message: the exception's repr, then the worker's traceback
+    assert f"RuntimeError: {exc!r}\nTraceback (most recent call last):\n" in report["traceback"]
+    assert "in failing" in report["error"]
+
+
+def test_an_interrupt_in_a_worker_propagates_once_every_shard_ends(tmp_path, monkeypatch):
+    _workers(monkeypatch, 2)
+    _failing_step(monkeypatch, {("er-rs", 1, 3): _Killed()})
+    out = tmp_path / "out"
+    with pytest.raises(_Killed) as raised:
+        harness.run(ExperimentConfig.from_dict(small_config(out, seeds=[0, 1])))
+    _assert_no_child_process()
+    assert "in failing" in str(raised.value.__cause__)  # the worker's traceback
+    assert not (out / "summary.json").exists() and not (out / "error_report.json").exists()
+    assert parse_csv(out / "naive" / "seed1" / "metrics.csv")[-1]["experience_index"] == 7
+
+
+def test_an_interrupt_here_kills_the_workers_first(tmp_path, monkeypatch):
+    # the worker would sleep for a minute at its first step; the run's own
+    # interrupt ends it at once
+    _workers(monkeypatch, 2)
+    here, step = os.getpid(), harness.Cell.step
+
+    def step_or_stall(cell, exp, ctx):
+        if os.getpid() != here:
+            time.sleep(60)
+        elif exp.index == 2:
+            raise _Killed
+        step(cell, exp, ctx)
+
+    monkeypatch.setattr(harness.Cell, "step", step_or_stall)
+    start = time.monotonic()
+    with pytest.raises(_Killed):
+        harness.run(ExperimentConfig.from_dict(small_config(tmp_path / "out", seeds=[0])))
+    assert time.monotonic() - start < 30
+    _assert_no_child_process()
+    with files.lock_dir(tmp_path / "out"):  # no worker holds the lock on
+        pass
+
+
+def test_a_worker_killed_mid_run_exits_3_naming_it_and_resumes_whole(
+    tmp_path, monkeypatch, capsys
+):
+    raw = small_config(tmp_path / "out", strategies=["naive", *REPLAY_TRIO], seeds=[0, 1],
+                       checkpoint_every=2)
+    path = write_config(tmp_path, raw)
+    _workers(monkeypatch, 3)
+    whole = harness.run(ExperimentConfig.from_dict(raw), out_dir=tmp_path / "whole")
+    assert whole == harness.EXIT_OK
+    here, step = os.getpid(), harness.Cell.step
+
+    def killing_step(cell, exp, ctx):
+        step(cell, exp, ctx)
+        if os.getpid() != here and (cell.strategy, cell.seed, exp.index) == ("er-rs", 1, 4):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(harness.Cell, "step", killing_step)
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == harness.EXIT_RUNTIME
+    _assert_no_child_process()
+    assert capsys.readouterr().err == f"run failed: see {tmp_path / 'out' / 'error_report.json'}\n"
+    report = json.loads((tmp_path / "out" / "error_report.json").read_text())
+    # of 8 cells dealt over 3 processes, er-rs/seed1 is the sixth: worker 2's
+    assert report["worker"] == 2 and "strategy" not in report and "seed" not in report
+    assert "worker 2 (pid " in report["error"] and "signal 9" in report["error"]
+    assert not (tmp_path / "out" / "summary.json").exists()
+    monkeypatch.setattr(harness.Cell, "step", step)
+    assert cli.main(["run", str(path), "--resume"]) == harness.EXIT_OK
+    assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "whole")
+
+
+def test_workers_hold_the_run_directory_lock(tmp_path, monkeypatch):
+    _workers(monkeypatch, 2)
+    out = tmp_path / "out"
+    here, step = os.getpid(), harness.Cell.step
+
+    def step_trying_the_lock(cell, exp, ctx):
+        step(cell, exp, ctx)
+        if os.getpid() != here and exp.index == 0:
+            try:
+                with files.lock_dir(out):
+                    raise RuntimeError("a worker found the run directory unlocked")
+            except BlockingIOError:
+                pass
+
+    monkeypatch.setattr(harness.Cell, "step", step_trying_the_lock)
+    assert harness.run(ExperimentConfig.from_dict(small_config(out, seeds=[0]))) == 0
+    _assert_no_child_process()
+    with files.lock_dir(out):  # released once run returned
+        pass
 
 
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
@@ -1350,6 +1618,7 @@ def test_a_kill_in_any_whole_file_write_resumes_to_the_uninterrupted_outputs(
                        analysis={"interpolation": {"enabled": True, "n_points": 3},
                                  "block_distance": {"enabled": True}})
     cfg = ExperimentConfig.from_dict(raw)
+    _workers(monkeypatch, 1)  # the patches count and kill the writes of this process
     write_atomic, calls = files.write_atomic, []
 
     def counting(path, data):
@@ -1390,6 +1659,7 @@ def test_a_kill_in_any_csv_row_append_resumes_to_the_uninterrupted_outputs(
     raw = small_config(tmp_path / "out", strategies=["naive", "er-rs", "er-fa"], seeds=[0, 1],
                        checkpoint_every=2, generator={**small_config(None)["generator"], "n": 4})
     cfg = ExperimentConfig.from_dict(raw)
+    _workers(monkeypatch, 1)  # the patches count and kill the appends of this process
     append, calls = files.append, []
 
     def counting(path, text):
@@ -1556,10 +1826,15 @@ def test_a_fresh_rerun_keeps_the_files_its_cell_does_not_name(tmp_path):
 
 @pytest.mark.parametrize("analysis", [{}, {"block_distance": {"enabled": True}}],
                          ids=["analysis-off", "block-distance-on"])
-def test_a_resume_after_analyze_leaves_no_analysis_from_before_it(tmp_path, analysis):
+def test_a_resume_after_analyze_leaves_no_analysis_from_before_it(
+    tmp_path, monkeypatch, analysis
+):
     # the analysis of a killed run describes its checkpoints up to the kill;
     # a resume that adds checkpoints once left it standing, stamped with
-    # the run's own digest
+    # the run's own digest. One process, so that the kill stops naive's
+    # cell too: a worker's kill would leave it finished, and its analysis
+    # (then of its final checkpoints) would rightly stay.
+    _workers(monkeypatch, 1)
     out = tmp_path / "out"
     cfg = ExperimentConfig.from_dict(small_config(
         out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=1, analysis=analysis,
