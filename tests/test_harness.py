@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cirsim import analysis, cli, files, harness, learner
+from cirsim import analysis, cli, files, harness, learner, pool
 from cirsim.config import ConfigError, ExperimentConfig, apply_override, load_config
 from cirsim.distributions import PMF_KINDS
 from cirsim.metrics import EvalContext, parse_csv
@@ -81,7 +81,7 @@ def _workers(monkeypatch, n: int) -> None:
     """Run each grid of this test in at most ``n`` processes (``n`` - 1
     forked workers), whatever the CPUs of the host; 1 keeps every cell in
     the test's own process, where its patches observe them."""
-    monkeypatch.setattr(harness, "_worker_count", lambda n_cells: min(n_cells, n))
+    monkeypatch.setattr(pool, "worker_count", lambda n_cells: min(n_cells, n))
 
 
 def test_grid_file_count_contract(tmp_path):
@@ -1075,9 +1075,9 @@ def test_a_one_cell_grid_forks_no_worker(tmp_path, monkeypatch):
 
 def test_the_worker_count_follows_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert [harness._worker_count(n) for n in (1, 2, 3, 12)] == [1, 2, 3, 3]
+    assert [pool.worker_count(n) for n in (1, 2, 3, 12)] == [1, 2, 3, 3]
     monkeypatch.delattr(os, "sched_getaffinity")  # as on Windows and macOS
-    assert harness._worker_count(12) == 1
+    assert pool.worker_count(12) == 1
 
 
 def _failing_step(monkeypatch, failures: dict) -> None:
@@ -1110,7 +1110,7 @@ def test_a_failure_in_a_worker_is_reported_as_in_one_process(tmp_path, monkeypat
     assert (report["strategy"], report["seed"], report["experience"]) == ("er-rs", 1, 5)
     assert report["error"] == "ValueError('injected fault')"
     # the worker's own frames, chained as the cause of what this process raised
-    assert "harness._RemoteTraceback: Traceback" in report["traceback"]
+    assert "pool._RemoteTraceback: Traceback" in report["traceback"]
     assert "in failing" in report["traceback"]
     assert not (out / "summary.json").exists()
     assert parse_csv(out / "naive" / "seed1" / "metrics.csv")[-1]["experience_index"] == 7
@@ -1253,6 +1253,102 @@ def test_workers_hold_the_run_directory_lock(tmp_path, monkeypatch):
     _assert_no_child_process()
     with files.lock_dir(out):  # released once run returned
         pass
+
+
+def _child_env() -> dict:
+    """The environment of a child process that imports the cirsim imported
+    here, with the BLAS thread variables unset, as in a user's default."""
+    source = str(Path(harness.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(name, None)
+    return env
+
+
+def test_while_workers_run_each_process_holds_its_share_of_blas_threads(tmp_path):
+    # a child process runs a grid in 2 processes, then in 1: in the first,
+    # the run process and its worker each read half the run process's
+    # threads (at least 1) and the old count comes back after; the second
+    # sets nothing
+    threads = pool.openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    if threads is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS bundled with numpy")
+    child = "\n".join([
+        "import ctypes, json, os, sys",
+        "from cirsim import harness, pool",
+        "from cirsim.config import ExperimentConfig",
+        "threads = pool.openblas_function('scipy_openblas_get_num_threads64_', ctypes.c_int)",
+        "step, seen = harness.Cell.step, {}",
+        "def recording_step(cell, exp, ctx):",
+        "    with open(f'seen{workers}', 'a') as f:",
+        "        f.write(f'{os.getpid()} {threads()}\\n')",
+        "    step(cell, exp, ctx)",
+        "harness.Cell.step = recording_step",
+        "cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))",
+        "before = threads()",
+        "for workers in (2, 1):",
+        "    pool.worker_count = lambda n_cells: min(n_cells, workers)",
+        "    assert harness.run(cfg, out_dir=f'out{workers}') == 0",
+        "    seen[workers] = threads()",
+        "print(json.dumps({'pid': os.getpid(), 'before': before, 'after': seen}))",
+    ])
+    raw = small_config(tmp_path / "out", seeds=[0])
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(raw)], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    before = result["before"]
+    pairs = [(tmp_path / name).read_text().split() for name in ("seen2", "seen1")]
+    during = [{(int(pid), int(n)) for pid, n in zip(p[::2], p[1::2])} for p in pairs]
+    assert len(during[0]) == 2 and result["pid"] in {pid for pid, _ in during[0]}
+    assert {n for _, n in during[0]} == {max(1, before // 2)}
+    assert result["after"] == {"2": before, "1": before}
+    assert during[1] == {(result["pid"], before)}
+
+
+def test_a_run_killed_outright_takes_its_workers_with_it(tmp_path):
+    # the run process of a 2-process grid, its steps slowed, is killed by
+    # SIGKILL mid-run in a child process: its worker ends with it, so the
+    # directory lock is free at once, and --resume writes the whole run's bytes
+    raw = small_config(tmp_path / "out", seeds=[0, 1], checkpoint_every=2)
+    cfg = ExperimentConfig.from_dict(raw)
+    assert harness.run(cfg, out_dir=tmp_path / "whole") == harness.EXIT_OK
+    child = "\n".join([
+        "import json, sys, time",
+        "from cirsim import harness, pool",
+        "from cirsim.config import ExperimentConfig",
+        "pool.worker_count = lambda n_cells: min(n_cells, 2)",
+        "step = harness.Cell.step",
+        "def slow_step(cell, exp, ctx):",
+        "    time.sleep(0.5)",
+        "    step(cell, exp, ctx)",
+        "harness.Cell.step = slow_step",
+        "sys.exit(harness.run(ExperimentConfig.from_dict(json.loads(sys.argv[1]))))",
+    ])
+    # no pipe to the child: an orphaned worker would hold it open
+    with open(tmp_path / "stderr", "w") as stderr:
+        run = subprocess.Popen([sys.executable, "-c", child, json.dumps(raw)], cwd=tmp_path,
+                               env=_child_env(), stderr=stderr)
+    # er-rs's cells run in the worker, for 8 s; kill once one row has landed
+    rows = tmp_path / "out" / "er-rs" / "seed0" / "metrics.csv"
+    deadline = time.monotonic() + 60
+    while not (rows.exists() and rows.read_text().count("\n") >= 3):
+        assert run.poll() is None, (tmp_path / "stderr").read_text()
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+    run.kill()
+    run.wait(timeout=30)
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            with files.lock_dir(tmp_path / "out"):
+                break
+        except BlockingIOError:
+            assert time.monotonic() < deadline, "a worker outlived its run and holds the lock"
+            time.sleep(0.05)
+    assert harness.run(cfg, resume=True) == harness.EXIT_OK
+    assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "whole")
 
 
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):

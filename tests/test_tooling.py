@@ -1,6 +1,6 @@
 """Guards for the benchmark's tooling that lives outside the package, for
-the package's one write layer and its one allocator setting, for names
-bound twice in one scope, for the grammar of the oldest Python the package
+the package's one write layer, its one allocator setting and its one
+process pool, for names bound twice in one scope, for the grammar of the oldest Python the package
 declares, and for README's library example."""
 
 import ast
@@ -210,6 +210,54 @@ def test_the_allocator_is_tuned_only_by_the_cli():
     modules = {p.name: _mallopt_uses(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     assert modules.pop("cli.py")
     assert {name: uses for name, uses in modules.items() if uses} == {}
+
+
+_PROCESS_CALLS = {"os": {"fork", "pipe", "waitpid", "kill", "_exit"},
+                  "signal": {"pthread_sigmask"}}
+
+
+def _process_calls(source: str) -> list[str]:
+    """Each use in ``source`` of a call that makes, signals, waits for or
+    leaves a process, or blocks its signals (``_PROCESS_CALLS``): as an
+    attribute of its module, or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            flagged = node.attr in _PROCESS_CALLS.get(node.value.id, ())
+        elif isinstance(node, ast.ImportFrom):
+            flagged = any(a.name in _PROCESS_CALLS.get(node.module, ()) for a in node.names)
+        else:
+            flagged = False
+        if flagged:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("pid = os.fork()", True),
+    ("read, write = os.pipe()", True),
+    ("os.waitpid(pid, 0)", True),
+    ("os.kill(pid, signal.SIGKILL)", True),
+    ("os._exit(1)", True),
+    ("signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})", True),
+    ("from os import fork", True),
+    ("from signal import SIGKILL, pthread_sigmask as mask", True),
+    ("hasattr(os, 'fork')", False),
+    ("os.getpid()", False),
+    ("os.read(fd, 10)", False),
+    ("signal.SIGKILL", False),
+    ("sys.exit(1)", False),
+])
+def test_process_scan_flags_each_process_call(source, flagged):
+    assert bool(_process_calls(source)) == flagged
+
+
+def test_the_processes_are_made_and_reaped_only_by_the_pool():
+    # pool.run reaps every worker it forks on every path, and a worker ends
+    # with its run; a fork, kill or reap anywhere else would escape both
+    modules = {p.name: _process_calls(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert modules.pop("pool.py")
+    assert {name: calls for name, calls in modules.items() if calls} == {}
 
 
 # json.load is allowed in the one config file reader; json.loads in the
