@@ -5,11 +5,11 @@ Each run seed has one generated stream, shared by every strategy of that
 seed: per cell the learner trains across all experiences, evaluates after
 each one, and writes a metrics CSV, a buffer trace, the stream manifest and
 parameter checkpoints. ``run`` deals the grid's cells round-robin into
-shards, one per process of ``pool``, which owns the processes. In each
-process, a seed's cells step together, experience by experience; those that
-draw the same replay rows train as one stacked model. Neither the dealing
-nor the stacking changes an output byte, as no byte of a cell depends on
-the other cells.
+shards, one per process of ``pool``, which owns the processes; ``analyze``
+deals them the same way. In each ``run`` process, a seed's cells step
+together, experience by experience; those that draw the same replay rows
+train as one stacked model. Neither the dealing nor the stacking changes
+an output byte, as no byte of a cell depends on the other cells.
 Every write goes through ``files``: metric and trace rows are appended as
 they are produced (``files.append``), every other file lands whole
 (``files.write_atomic``). Every output carries the config digest, and runs
@@ -741,10 +741,12 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
     pair's earlier experience, CKA on a fixed probe batch from the test set.
     A cell's checkpoints are the files that ``CellPaths.saved`` lists,
     read once each in index order; at most the initial one and two trained
-    ones are held at a time. A cell that fails (say, on a torn checkpoint,
-    or one whose header names another experience than its file name) stops
-    the analysis with ``error_report.json`` naming the cell, and returns
-    ``EXIT_RUNTIME``.
+    ones are held at a time. The cells are dealt as ``run`` deals them, over
+    ``pool`` (see ``_analyze``). A cell that fails (say, on a torn
+    checkpoint, or one whose header names another experience than its file
+    name) stops its own shard; the analysis then returns ``EXIT_RUNTIME``
+    with ``error_report.json`` naming the cell that one process walking the
+    grid would have met first.
     The run directory stays locked (``_exclusive``) until it returns.
     """
     run_dir = Path(run_dir)
@@ -753,6 +755,15 @@ def analyze(run_dir: Path | str, force_all: bool = False) -> int:
 
 
 def _analyze(run_dir: Path, force_all: bool) -> int:
+    """``analyze`` under a lock held by the caller. The cells are listed in
+    ``run``'s grid order (seed by seed, each seed's in the order of
+    ``strategies``), each with one scan of its checkpoints, and dealt as
+    ``run`` deals them: shard k is ``cells[k::W]``, W being
+    ``pool.worker_count`` of the cells with interpolation or CKA work (those
+    with at least two trained checkpoints), and at least 1. The dataset,
+    CKA probe and streams those cells read are built here, before any fork,
+    so a config error from them comes before any cell is analysed. A cell's
+    bytes depend on no other cell, so every CSV is the same for any W."""
     # an earlier analyze's report would outlive this one's success; a run's
     # report stays, as it marks the outputs analysed here as partial
     report_path = run_dir / "error_report.json"
@@ -770,23 +781,29 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
     if not (do_interp or do_blocks or do_cka):
         return EXIT_OK
 
-    @functools.cache
-    def inputs() -> tuple[LabeledDataset, np.ndarray]:
-        # (train set, CKA probe), built when a cell first reads them:
-        # block distance reads checkpoints alone
+    cells = []  # (strategy, seed, paths, its checkpoints by index), in grid order
+    for seed in cfg.seeds:
+        for strategy in cfg.strategies:
+            paths = cell_dir(run_dir, strategy, seed)
+            cells.append((strategy, seed, paths, paths.saved(paths.checkpoint_file)))
+    # the seed of each cell with interpolation or CKA work: a pair of trained checkpoints
+    paired = [seed for _, seed, _, listed in cells
+              if (do_interp or do_cka) and sum(i >= 0 for i in listed) >= 2]
+    train_set = probe = None
+    streams = {}
+    if paired:  # block distance reads checkpoints alone
         train_set, test_set = load_inputs(cfg)
         probe_rng = np.random.default_rng(spec.cka_probe_seed)
         probe_size = min(spec.cka_probe_size, len(test_set))
-        rows = probe_rng.choice(len(test_set), size=probe_size, replace=False)
-        return train_set, test_set.features[rows]
+        probe = test_set.features[probe_rng.choice(len(test_set), size=probe_size, replace=False)]
+        del test_set
+        if do_interp:
+            streams = {seed: build_stream(cfg, train_set, seed) for seed in dict.fromkeys(paired)}
 
-    stream_for = functools.cache(lambda seed: build_stream(cfg, inputs()[0], seed))
-
-    def analyze_cell(paths: CellPaths, seed: int) -> None:
+    def analyze_cell(paths: CellPaths, listed: dict[int, Path], seed: int) -> None:
         # one pass over the cell's checkpoints in index order, holding the
         # initial one, the previous trained one and its CKA preparation; the
         # CSV texts are written once the pass ends
-        listed = paths.saved(paths.checkpoint_file)
         if not listed:
             return
         init_path = listed.pop(-1, None)
@@ -794,10 +811,6 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
         trained = sorted(listed.items())
         pairs = len(trained) >= 2
         interp, blocks, cka = do_interp and pairs, do_blocks and init is not None, do_cka and pairs
-        if interp:
-            stream, train_set = stream_for(seed), inputs()[0]
-        if cka:
-            probe = inputs()[1]
         interp_lines = ["pair_id,alpha,accuracy,experience_a,experience_b\n"]
         block_lines = ["experience_index,block,distance\n"]
         cka_lines = ["pair_id,layer_x,layer_y,value\n"]
@@ -814,7 +827,7 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
                 a = prev.experience_index
                 pair = f"{a}-{index}"
                 if interp:
-                    exp = stream.experiences[a]
+                    exp = streams[seed].experiences[a]
                     x = train_set.features[exp.train_instances]
                     y = train_set.labels[exp.train_instances]
                     curve = ana.interpolate_checkpoints(prev, ck, spec.interpolation_points, x, y)
@@ -831,15 +844,19 @@ def _analyze(run_dir: Path, force_all: bool) -> int:
             if wanted:
                 files.write_atomic(path, _stamped_csv(digest, lines))
 
-    for strategy in cfg.strategies:
-        for seed in cfg.seeds:
-            try:
-                analyze_cell(cell_dir(run_dir, strategy, seed), seed)
-            except ConfigError:  # the inputs could not be built: not a cell's failure
-                raise
-            except Exception as exc:  # runtime failure of one cell: report it and stop
-                _write_error_report(run_dir, "analyze", exc, digest, strategy=strategy, seed=seed)
-                return EXIT_RUNTIME
+    def analyze_shard(shard: list, running: dict) -> None:
+        for strategy, seed, paths, listed in shard:
+            running.update(strategy=strategy, seed=seed)
+            analyze_cell(paths, listed, seed)
+
+    workers = max(1, pool.worker_count(len(paired)))
+    shards = [cells[k::workers] for k in range(workers)]
+    running = {}  # the (strategy, seed) being analysed, for the error report
+    try:
+        pool.run(shards, analyze_shard, running, functools.partial(_failure_order, cfg))
+    except Exception as exc:  # runtime failure of a cell: its shard stopped there
+        _write_error_report(run_dir, "analyze", exc, digest, **running)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -318,6 +318,7 @@ def _count_input_builds(monkeypatch) -> list[str]:
 
 
 def test_analyze_builds_streams_only_for_interpolation(tmp_path, monkeypatch):
+    _workers(monkeypatch, 2)  # the inputs are built here, before the fork
     out, lone = tmp_path / "out", tmp_path / "lone"
     raw = small_config(out, seeds=[0, 1], checkpoint_every=3,
                        analysis={"block_distance": {"enabled": True},
@@ -1013,6 +1014,18 @@ def _assert_no_child_process() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def _shard_counts(monkeypatch) -> list[int]:
+    """Patch ``pool.run`` to record the number of shards of every call."""
+    counts, run = [], pool.run
+
+    def counting(shards, work, running, order):
+        counts.append(len(shards))
+        run(shards, work, running, order)
+
+    monkeypatch.setattr(pool, "run", counting)
+    return counts
+
+
 def _summary_without_time(run_dir: Path) -> dict:
     summary = json.loads((run_dir / "summary.json").read_text())
     summary.pop("created_unix")
@@ -1051,7 +1064,7 @@ def test_a_grid_writes_the_same_bytes_in_any_number_of_processes(tmp_path, monke
                   "cka": {"enabled": True, "probe_size": 16}},
     )
     cfg = ExperimentConfig.from_dict(raw)
-    trees, summaries = [], []
+    trees, summaries, shards = [], [], _shard_counts(monkeypatch)
     for workers in (1, 2, 3):
         _workers(monkeypatch, workers)
         out = tmp_path / f"workers{workers}"
@@ -1061,6 +1074,7 @@ def test_a_grid_writes_the_same_bytes_in_any_number_of_processes(tmp_path, monke
         trees.append(_tree_bytes(out))
         summaries.append(_summary_without_time(out))
         assert summaries[-1].pop("workers") == workers
+    assert shards == [1, 1, 2, 2, 3, 3]  # the run's cells, then its analysis's
     assert trees[1] == trees[0] and trees[2] == trees[0]
     assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
 
@@ -1351,7 +1365,141 @@ def test_a_run_killed_outright_takes_its_workers_with_it(tmp_path):
     assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "whole")
 
 
+# -- analyze's cells dealt over forked workers ----------------------------------
+
+
+def test_analyze_writes_the_same_bytes_in_any_number_of_processes(tmp_path, monkeypatch):
+    # 3 seeds x 4 strategies checkpointed after every experience, run once
+    # and copied: `analyze --all` deals the 12 cells over 1, 2 and 3
+    # processes and writes the same tree
+    raw = small_config(tmp_path / "run", strategies=["naive", *REPLAY_TRIO], seeds=[0, 1, 2],
+                       checkpoint_every=1,
+                       analysis={"interpolation": {"n_points": 3}, "cka": {"probe_size": 16}})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    assert not list((tmp_path / "run").glob("*/seed*/analysis"))
+    shards, trees = _shard_counts(monkeypatch), []
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        shutil.copytree(tmp_path / "run", out)
+        assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+        _assert_no_child_process()
+        assert len(list(out.glob("*/seed*/analysis/*.csv"))) == 36
+        trees.append(_tree_bytes(out))
+    assert shards == [1, 2, 3]
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+@pytest.mark.parametrize("checkpoint_every, argv", [(0, ["--all"]), (2, [])],
+                         ids=["no-pair", "block-distance-alone"])
+def test_an_analyze_with_no_pair_to_analyse_forks_no_worker(
+    tmp_path, monkeypatch, checkpoint_every, argv
+):
+    # no cell has interpolation or CKA work: checkpointed only at the end,
+    # each cell holds its initial and final checkpoints, and block distance
+    # reads each checkpoint alone
+    out = tmp_path / "out"
+    raw = small_config(out, checkpoint_every=checkpoint_every,
+                       analysis={"block_distance": {"enabled": True}})
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    for path in out.glob("*/seed*/analysis/*.csv"):
+        path.unlink()
+    _workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", None)  # a fork would fail the analysis
+    shards = _shard_counts(monkeypatch)
+    assert cli.main(["analyze", str(out), *argv]) == harness.EXIT_OK
+    assert shards == [1]
+    assert len(list(out.glob("*/seed*/analysis/block_distance.csv"))) == 6
+
+
+def _unanalysed_grid(tmp_path) -> Path:
+    """The directory of a finished 2 x 2 grid (naive and er-rs, seeds 0 and
+    1) checkpointed after every other experience, not yet analysed. In grid
+    order its cells are naive/seed0, er-rs/seed0, naive/seed1, er-rs/seed1:
+    with 2 processes naive's are analysed here and er-rs's in the worker."""
+    out = tmp_path / "out"
+    raw = small_config(out, seeds=[0, 1], checkpoint_every=2)
+    assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
+    return out
+
+
+def _analysed_cells(out: Path) -> list[str]:
+    return sorted({p.parents[1].relative_to(out).as_posix()
+                   for p in out.glob("*/seed*/analysis/*.csv")})
+
+
+def test_a_damaged_checkpoint_in_a_workers_cell_exits_3_naming_it(tmp_path, monkeypatch, capsys):
+    out = _unanalysed_grid(tmp_path)
+    _workers(monkeypatch, 2)
+    damaged = harness.cell_dir(out, "er-rs", 1).checkpoint_file(3)
+    _tear(damaged)
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    _assert_no_child_process()
+    assert capsys.readouterr().err == f"analysis failed: see {out / 'error_report.json'}\n"
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["command"], report["strategy"], report["seed"]) == ("analyze", "er-rs", 1)
+    assert str(damaged) in report["error"] and "CheckpointError" in report["error"]
+    # the worker's own frames, chained as the cause of what this process raised
+    assert "pool._RemoteTraceback: Traceback" in report["traceback"]
+    assert _analysed_cells(out) == ["er-rs/seed0", "naive/seed0", "naive/seed1"]
+
+
+@pytest.mark.parametrize("damaged, named, analysed", [
+    ([("er-rs", 0), ("naive", 1)], ("er-rs", 0), ["naive/seed0"]),
+    ([("naive", 0), ("er-rs", 1)], ("naive", 0), ["er-rs/seed0"]),
+], ids=["first-in-the-worker", "first-here"])
+def test_damaged_cells_in_two_shards_report_the_first_in_grid_order(
+    tmp_path, monkeypatch, damaged, named, analysed
+):
+    # each shard stops at its own damaged cell; a healthy cell of the other
+    # shard, dealt before that shard's damaged one, still gets its CSVs
+    out = _unanalysed_grid(tmp_path)
+    _workers(monkeypatch, 2)
+    for strategy, seed in damaged:
+        _tear(harness.cell_dir(out, strategy, seed).checkpoint_file(3))
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    _assert_no_child_process()
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["strategy"], report["seed"]) == named
+    assert str(harness.cell_dir(out, *named).checkpoint_file(3)) in report["error"]
+    assert _analysed_cells(out) == analysed
+    assert len(list(out.glob("*/seed*/analysis/*.csv"))) == 3
+
+
+def test_an_analyze_worker_killed_exits_3_naming_it_and_a_second_analyze_writes_all(
+    tmp_path, monkeypatch, capsys
+):
+    out = _unanalysed_grid(tmp_path)
+    shutil.copytree(out, tmp_path / "whole")
+    _workers(monkeypatch, 1)
+    assert cli.main(["analyze", str(tmp_path / "whole"), "--all"]) == harness.EXIT_OK
+    _workers(monkeypatch, 2)
+    here, load = os.getpid(), harness._load_run_checkpoint
+
+    def killing_load(path, index, digest):
+        if os.getpid() != here and index == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load(path, index, digest)
+
+    monkeypatch.setattr(harness, "_load_run_checkpoint", killing_load)
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_RUNTIME
+    _assert_no_child_process()
+    assert capsys.readouterr().err == f"analysis failed: see {out / 'error_report.json'}\n"
+    report = json.loads((out / "error_report.json").read_text())
+    assert (report["command"], report["worker"]) == ("analyze", 1)
+    assert "strategy" not in report and "seed" not in report
+    assert "worker 1 (pid " in report["error"] and "signal 9" in report["error"]
+    assert _analysed_cells(out) == ["naive/seed0", "naive/seed1"]
+    monkeypatch.setattr(harness, "_load_run_checkpoint", load)
+    assert cli.main(["analyze", str(out), "--all"]) == harness.EXIT_OK
+    _assert_no_child_process()
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "whole")
+
+
 def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
+    _workers(monkeypatch, 1)  # the spies count calls in this process
     out = tmp_path / "out"
     raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=1,
                        generator={**small_config(None)["generator"], "n": 5},
@@ -1400,6 +1548,7 @@ def test_cka_window_equals_layer_matrix_bitwise(tmp_path, monkeypatch):
 def test_analyze_holds_at_most_two_trained_checkpoints_and_the_initial_one(
     tmp_path, monkeypatch, n
 ):
+    _workers(monkeypatch, 1)  # the spy counts the checkpoints alive in this process
     out = tmp_path / "out"
     raw = small_config(out, strategies=["naive"], seeds=[0], checkpoint_every=1,
                        generator={**small_config(None)["generator"], "n": n})
@@ -1568,6 +1717,7 @@ def test_analyze_torn_config_exit_2(tmp_path, capsys):
 
 
 def test_analysis_failing_mid_file_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
+    _workers(monkeypatch, 1)  # the fault counts calls in this process
     out = tmp_path / "out"
     raw = small_config(out, strategies=["naive", "er-rs"], seeds=[0], checkpoint_every=1)
     assert harness.run(ExperimentConfig.from_dict(raw)) == harness.EXIT_OK
